@@ -3,9 +3,10 @@
 The package computes, in exact arithmetic throughout:
 
 * the limiting probability (as the degree grows) that a uniform random
-  permutation fixes some k-subset, via a pruned enumeration of k-free
-  cycle-type rows and an exact exponential-polynomial accumulation
-  evaluated to any number of decimal places;
+  permutation fixes some k-subset, as an exact exponential polynomial
+  summed over the k-free cycle-type rows by a dynamic programme over
+  achievable-sum masks, and evaluated to any number of decimal places;
+* the k-free rows themselves, by a pruned backtracking walk;
 * the finite-degree probabilities by exhausting integer partitions;
 * Monte Carlo estimates of both, for cross-validation.
 """

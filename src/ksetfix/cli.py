@@ -2,6 +2,8 @@
 
 All output is plain UTF-8 text with LF line endings and is byte
 deterministic given the flags and seed, including under --jobs > 1.
+Every command that computes probabilities accepts --jobs; only
+finite-table has work to spread over processes.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 """
 
@@ -13,7 +15,6 @@ import click
 
 from . import finite, limits, montecarlo
 from .exppoly import ExpPoly
-from .table import enumerate_rows
 
 _JOBS_ENV = "KSETFIX_JOBS"
 
@@ -33,7 +34,7 @@ jobs_option = click.option(
     default=1,
     envvar=_JOBS_ENV,
     show_default=True,
-    help=f"Worker processes (env {_JOBS_ENV}).",
+    help=f"Worker processes for finite-table (env {_JOBS_ENV}).",
 )
 output_option = click.option(
     "--output", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -56,10 +57,13 @@ def main() -> None:
 @jobs_option
 def limit(k: int, digits: int, emit_rows: str | None, jobs: int) -> None:
     """Limiting probabilities for one k, with table diagnostics."""
-    if emit_rows is not None:
+    if emit_rows is None:
+        survival, stats = limits.limiting_survival_checked(k)
+    else:
         with open(emit_rows, "w", encoding="utf-8", newline="\n") as fh:
-            enumerate_rows(k, lambda row: fh.write(",".join(map(str, row)) + "\n"))
-    survival, stats = limits.limiting_survival_with_stats(k, jobs)
+            survival, stats = limits.limiting_survival_checked(
+                k, lambda row: fh.write(",".join(map(str, row)) + "\n")
+            )
     fix = limits.evaluate(ExpPoly.one() - survival, digits)
     surv = limits.evaluate(survival, digits)
     click.echo(f"k = {k}")
@@ -81,7 +85,7 @@ def limit_table(k_max: int, digits: int, output: str | None, jobs: int) -> None:
     """CSV of limiting fix probabilities and row counts for k <= k-max."""
     lines = ["k,i_inf,rows"]
     for k in range(1, k_max + 1):
-        survival, stats = limits.limiting_survival_with_stats(k, jobs)
+        survival, stats = limits.limiting_survival_checked(k)
         fix = limits.evaluate(ExpPoly.one() - survival, digits)
         lines.append(f"{k},{fix},{stats.rows_emitted}")
     _echo_lines(lines, output)
@@ -144,7 +148,7 @@ def ratio(k_max: int, digits: int, output: str | None, jobs: int) -> None:
     """CSV of i(k) over the comparison curve k^-d (ln k)^-3/2, for 2 <= k <= k-max."""
     lines = ["k,ratio"]
     for k in range(2, k_max + 1):
-        lines.append(f"{k},{limits.efg_ratio(k, digits, jobs)}")
+        lines.append(f"{k},{limits.efg_ratio(k, digits)}")
     _echo_lines(lines, output)
 
 

@@ -20,6 +20,7 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import achievable_sizes_mask, centralizer_size, universality_index
+from .precision import format_scaled
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,7 @@ def exceptions(n_max: int) -> set[tuple[int, int]]:
 
 def format_probability(value: Fraction, digits: int) -> str:
     """value as a decimal string with ``digits`` places, ties to even."""
-    scaled = round(value * 10**digits)
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return format_scaled(round(value * 10**digits), digits)
 
 
 def _table_rows_for_n(args) -> list[tuple[int, int, str]]:

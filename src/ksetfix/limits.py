@@ -4,8 +4,8 @@ As the degree grows, the number of j-cycles of a uniform random
 permutation tends to an independent Poisson count with mean 1/j, so the
 limiting probability that no k-subset is fixed equals the probability
 that the random partition with Poisson(1/j) parts of size j is k-free.
-Summing over the k-free row table, each row r contributes the product of
-per-position weights
+Summing over the k-free rows (m_1, ..., m_{k-1}), each row contributes
+the product of per-position weights
 
     x_j(r) = e^{-1/j} / (j^{m_j} m_j!)                   if m_j < floor(k/j)
     x_j(r) = 1 - e^{-1/j} * sum_{i<floor(k/j)} 1/(j^i i!)   if m_j = floor(k/j)
@@ -15,11 +15,31 @@ times e^{-1/k} for the omitted k-cycle position. The total is kept as an
 exact :class:`~ksetfix.exppoly.ExpPoly` and evaluated once at the end to
 any requested number of decimal places.
 
-Accumulation groups rows by their set of capped positions: within a
-group only the rational weight 1/prod(j^{m_j} m_j!) varies, so each row
-adds one integer to a per-group numerator over a fixed common
-denominator, and the binomial capped factors are expanded once per group
-after enumeration. This reproduces the row-by-row sum exactly.
+Rows are never built. Whether a row prefix extends to a k-free row
+depends only on its achievable-sum mask A (the sizes of its
+sub-multisets, truncated below k), so the sum is a dynamic programme over
+the positions j <= k/2 with states (A, E) -> integer numerator, where E
+is the exponent mask collected so far. Every numerator shares the
+denominator prod_{j <= k/2} j^{b_j} b_j! with b_j = floor((k-1)/j), so an
+uncapped multiplicity m adds bit j to E and multiplies by the integer
+j^{b_j} b_j! / (j^m m!), and the capped one splits the state into the
+two terms of its binomial weight. A row count per A rides along.
+
+Positions k/2 < j < k are settled in closed form. There m_j is 0 or 1,
+and m_j = 1 is the capped case with weight 1 - e^{-1/j}. A subset
+summing to k holds at most one part larger than k/2, so once the small
+positions have fixed A, m_j = 1 is allowed exactly when bit k-j of A is
+clear, independently of the other large positions. An allowed position
+contributes e^{-1/j} + (1 - e^{-1/j}) = 1 and doubles the row count; a
+forbidden one contributes e^{-1/j}. This reproduces the row-by-row sum
+exactly.
+
+The limiting CLI commands also walk the rows with
+:func:`ksetfix.table.enumerate_rows`, through
+:func:`limiting_survival_checked`: the walk is an independent count of
+the k-free rows, gives the pruning counters and the ``--emit-rows``
+stream, and must agree with the programme's count. The walk grows with
+the row count, the programme does not.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ from .precision import (
     pow_three_halves,
     round_scaled,
 )
-from .table import TableStats, enumerate_rows, m1_windows
+from .table import RowSink, TableStats, enumerate_rows
 
 # extra decimal digits carried by evaluate() beyond the requested ones;
 # the audited per-term error is under 4 ulp, so this covers polynomials
@@ -61,11 +81,6 @@ class HighPrecisionDecimal:
         return Fraction(self.scaled, 10**self.digits)
 
 
-def floor_cap(k: int, j: int) -> int:
-    """The capping multiplicity floor(k/j) at position j."""
-    return k // j
-
-
 def capped_tail_weight(k: int, j: int) -> Fraction:
     """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
     return sum(
@@ -77,7 +92,7 @@ def row_factor(k: int, j: int, m: int) -> ExpPoly:
     """The weight x_j of multiplicity m at position j of a k-free row."""
     if not 1 <= j <= k:
         raise ValueError("need 1 <= j <= k")
-    cap = floor_cap(k, j)
+    cap = k // j
     if not 0 <= m <= cap:
         raise ValueError("multiplicity out of range for this position")
     if m < cap:
@@ -99,113 +114,94 @@ def row_contribution(k: int, row) -> ExpPoly:
     return poly
 
 
-def _accumulate_rows(k: int, m1_hi: int | None, m1_lo: int):
-    """One enumeration pass: group numerators by capped-position mask.
-
-    Returns ({cap_mask: integer numerator}, common denominator, stats).
-    Uncapped positions with multiplicity m contribute j^m m! to a row's
-    denominator; every such denominator divides the product of the
-    per-position maxima, which serves as the common denominator.
-    """
-    caps = [k // j for j in range(1, k)]
-    bound = [(k - 1) // j for j in range(1, k)]
-    weight = [
-        [j**m * factorial(m) for m in range(bound[j - 1] + 1)] for j in range(1, k)
-    ]
-    common = 1
-    for j in range(1, k):
-        common *= weight[j - 1][bound[j - 1]]
-    acc: dict[int, int] = {}
-    cofactor: dict[int, int] = {}
-
-    def consume(row: tuple[int, ...]) -> None:
-        cap_mask = 0
-        den = 1
-        for idx, m in enumerate(row):
-            if m == caps[idx]:
-                cap_mask |= 1 << idx
-            elif m:
-                den *= weight[idx][m]
-        c = cofactor.get(den)
-        if c is None:
-            c = cofactor[den] = common // den
-        acc[cap_mask] = acc.get(cap_mask, 0) + c
-
-    stats = enumerate_rows(k, consume, m1_hi=m1_hi, m1_lo=m1_lo)
-    return acc, common, stats
-
-
-def _accumulate_window(args):
-    k, hi, lo = args
-    acc, _, stats = _accumulate_rows(k, hi, lo)
-    return acc, stats
-
-
-def _expand_groups(k: int, acc: dict[int, int], common: int) -> ExpPoly:
-    """Turn grouped numerators into the expanded exponential polynomial."""
-    full_mask = (1 << k) - 1
-    tails = {}
-    total: dict[int, Fraction] = {}
-    for cap_mask, num in acc.items():
-        poly = {full_mask & ~cap_mask: Fraction(num, common)}
-        mm, jpos = cap_mask, 0
-        while mm:
-            if mm & 1:
-                j = jpos + 1
-                t = tails.get(j)
-                if t is None:
-                    t = tails[j] = capped_tail_weight(k, j)
-                grown: dict[int, Fraction] = {}
-                for mask, c in poly.items():
-                    grown[mask] = grown.get(mask, Fraction(0)) + c
-                    withj = mask | (1 << jpos)
-                    grown[withj] = grown.get(withj, Fraction(0)) - c * t
-                poly = grown
-            mm >>= 1
-            jpos += 1
-        for mask, c in poly.items():
-            v = total.get(mask, Fraction(0)) + c
-            if v:
-                total[mask] = v
-            else:
-                total.pop(mask, None)
-    return ExpPoly(total)
-
-
-def limiting_survival(k: int, jobs: int = 1) -> ExpPoly:
+def limiting_survival(k: int) -> ExpPoly:
     """Exact limiting probability that no k-subset is fixed, as an ExpPoly."""
-    return limiting_survival_with_stats(k, jobs)[0]
+    return limiting_survival_with_stats(k)[0]
 
 
-def limiting_survival_with_stats(k: int, jobs: int = 1) -> tuple[ExpPoly, TableStats]:
-    """Like :func:`limiting_survival`, also returning the table counters.
-
-    With jobs > 1 the row table is split by the leading multiplicity and
-    the per-window group sums are merged in window order; exact integer
-    accumulation makes the result identical to the serial run.
-    """
+def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
+    """Like :func:`limiting_survival`, also returning the number of k-free rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if jobs <= 1 or k < 3:
-        acc, common, stats = _accumulate_rows(k, None, 0)
-        return _expand_groups(k, acc, common), stats
-    from concurrent.futures import ProcessPoolExecutor
-
-    windows = m1_windows(k, jobs)
+    kbit = 1 << k
+    below_k = kbit - 1
     common = 1
-    for j in range(1, k):
+    # achievable-sum mask -> {exponent mask: numerator over common}
+    states: dict[int, dict[int, int]] = {1: {0: 1}}
+    rows: dict[int, int] = {1: 1}  # achievable-sum mask -> row prefixes
+    for j in range(1, k // 2 + 1):
         b = (k - 1) // j
-        common *= j**b * factorial(b)
-    acc: dict[int, int] = {}
-    stats = TableStats()
-    with ProcessPoolExecutor(max_workers=len(windows)) as pool:
-        for part, wstats in pool.map(
-            _accumulate_window, [(k, hi, lo) for hi, lo in windows]
-        ):
-            for mask, num in part.items():
-                acc[mask] = acc.get(mask, 0) + num
-            stats = stats.merged(wstats)
-    return _expand_groups(k, acc, common), stats
+        w = j**b * factorial(b)
+        common *= w
+        ebit = 1 << (j - 1)
+        scale = [w // (j**m * factorial(m)) for m in range(b + 1)]
+        capped = k % j != 0  # then m = b reaches floor(k/j)
+        tail = sum(scale[:b])  # w * capped_tail_weight(k, j)
+        nxt: dict[int, dict[int, int]] = {}
+        nxt_rows: dict[int, int] = {}
+        for reach, nums in states.items():
+            count = rows[reach]
+            for m in range(b + 1):
+                if m:
+                    reach |= reach << j
+                    if reach & kbit:
+                        break
+                    reach &= below_k
+                out = nxt.setdefault(reach, {})
+                nxt_rows[reach] = nxt_rows.get(reach, 0) + count
+                if capped and m == b:
+                    for e, v in nums.items():
+                        out[e] = out.get(e, 0) + v * w
+                        out[e | ebit] = out.get(e | ebit, 0) - v * tail
+                else:
+                    c = scale[m]
+                    for e, v in nums.items():
+                        out[e | ebit] = out.get(e | ebit, 0) + v * c
+        states, rows = nxt, nxt_rows
+    return _expand_groups(k, states, rows, common)
+
+
+def _expand_groups(
+    k: int, states: dict[int, dict[int, int]], rows: dict[int, int], common: int
+) -> tuple[ExpPoly, int]:
+    """Settle the positions k/2 < j <= k of every achievable-sum group at once."""
+    total: dict[int, int] = {}
+    row_count = 0
+    for reach, nums in states.items():
+        # e^{-1/k}, and e^{-1/j} for each large part j that must stay absent
+        forced = 1 << (k - 1)
+        free = 0
+        for j in range(k // 2 + 1, k):
+            if reach >> (k - j) & 1:
+                forced |= 1 << (j - 1)
+            else:
+                free += 1
+        row_count += rows[reach] << free
+        for e, v in nums.items():
+            total[e | forced] = total.get(e | forced, 0) + v
+    return ExpPoly({e: Fraction(v, common) for e, v in total.items()}), row_count
+
+
+def _discard(row: tuple[int, ...]) -> None:
+    pass
+
+
+def limiting_survival_checked(
+    k: int, consumer: RowSink = _discard
+) -> tuple[ExpPoly, TableStats]:
+    """The survival polynomial, and the counters of a row walk that checks it.
+
+    The walk delivers every k-free row to ``consumer``; a row count that
+    differs from the dynamic programme's is an internal invariant
+    violation.
+    """
+    survival, rows = limiting_survival_with_stats(k)
+    stats = enumerate_rows(k, consumer)
+    if stats.rows_emitted != rows:
+        raise AssertionError(
+            f"row walk found {stats.rows_emitted} rows, the DP {rows}"
+        )
+    return survival, stats
 
 
 def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
@@ -232,16 +228,16 @@ def evaluate(poly: ExpPoly, digits: int) -> HighPrecisionDecimal:
     mass = int(poly.abs_coefficient_sum()) + 1
     nterms = len(poly)
     prec = digits + _EVAL_GUARD + len(str(nterms + 1)) + len(str(mass))
-    total = evaluate_scaled(poly, prec)
     budget = nterms + 2 * mass + 2
-    assert 2 * budget < 10 ** (prec - digits)
-    scaled = round_scaled(total, prec, digits)
+    if not 2 * budget < 10 ** (prec - digits):
+        raise AssertionError("evaluation error budget exceeds half an output ulp")
+    scaled = round_scaled(evaluate_scaled(poly, prec), prec, digits)
     return HighPrecisionDecimal(digits, format_scaled(scaled, digits), scaled)
 
 
-def limiting_fix_probability(k: int, digits: int, jobs: int = 1) -> HighPrecisionDecimal:
+def limiting_fix_probability(k: int, digits: int) -> HighPrecisionDecimal:
     """i(k) = 1 - survival, to ``digits`` places; subtraction done symbolically."""
-    return evaluate(ExpPoly.one() - limiting_survival(k, jobs), digits)
+    return evaluate(ExpPoly.one() - limiting_survival(k), digits)
 
 
 def decay_exponent_scaled(prec: int) -> int:
@@ -261,7 +257,7 @@ def decay_exponent(digits: int) -> HighPrecisionDecimal:
     return HighPrecisionDecimal(digits, format_scaled(scaled, digits), scaled)
 
 
-def efg_ratio(k: int, digits: int, jobs: int = 1) -> HighPrecisionDecimal:
+def efg_ratio(k: int, digits: int) -> HighPrecisionDecimal:
     """i(k) / (k^-d (ln k)^-3/2) with d the decay exponent, to ``digits`` places.
 
     All factors are order one and carry at most a few ulp of error at the
@@ -274,7 +270,7 @@ def efg_ratio(k: int, digits: int, jobs: int = 1) -> HighPrecisionDecimal:
         raise ValueError("digits must be >= 1")
     prec = digits + _EVAL_GUARD + 4
     s = 10**prec
-    fix = s - evaluate_scaled(limiting_survival(k, jobs), prec)
+    fix = s - evaluate_scaled(limiting_survival(k), prec)
     lnk = ln_int(k, prec)
     d = decay_exponent_scaled(prec)
     k_pow = exp_small(d * lnk // s, prec)

@@ -56,7 +56,8 @@ def _poisson_cdf(mean: float) -> list[float]:
         if nxt == cdf[-1]:
             break
         cdf.append(nxt)
-    assert len(cdf) < _COUNT_CAP, "Poisson CDF table hit the count cap"
+    if not len(cdf) < _COUNT_CAP:
+        raise AssertionError("Poisson CDF table hit the count cap")
     return cdf
 
 

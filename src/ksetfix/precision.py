@@ -5,7 +5,7 @@ and comes with a worst-case error bound in units of the last place (ulp)
 of the *requested* scale. Internally each routine works with GUARD extra
 decimal digits; the coarse internal error bounds (series truncation plus
 one ulp per floor division, at most a few thousand ulp in the worst case,
-asserted against ``_INTERNAL_BUDGET``) shrink by 10**GUARD on the way
+checked against ``_INTERNAL_BUDGET``) shrink by 10**GUARD on the way
 out, so every public routine returns a value within 2 ulp of the true
 one. Callers that combine several routines budget a few more guard
 digits of their own; see :func:`ksetfix.limits.evaluate`.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import isqrt
 
 GUARD = 10
-_INTERNAL_BUDGET = 10 ** (GUARD - 2)  # asserted ceiling on internal ulp error
+_INTERNAL_BUDGET = 10 ** (GUARD - 2)  # checked ceiling on internal ulp error
 
 
 def _exp_series(num: int, den: int, scale: int) -> int:
@@ -36,7 +36,8 @@ def _exp_series(num: int, den: int, scale: int) -> int:
         term = term * num // (den * i)
         total += term
         i += 1
-    assert 40 * i < _INTERNAL_BUDGET
+    if not 40 * i < _INTERNAL_BUDGET:
+        raise AssertionError("exp series error exceeds the internal budget")
     return total
 
 
@@ -77,7 +78,8 @@ def _ln2(scale: int) -> int:
         total += t
         i += 1
         p *= 9
-    assert 2 * i < _INTERNAL_BUDGET
+    if not 2 * i < _INTERNAL_BUDGET:
+        raise AssertionError("ln 2 series error exceeds the internal budget")
     return 2 * total
 
 
@@ -91,7 +93,8 @@ def _atanh_twice(z: int, scale: int) -> int:
         term = term * zz // scale
         i += 2
         total += term // i
-    assert 2 * i < _INTERNAL_BUDGET
+    if not 2 * i < _INTERNAL_BUDGET:
+        raise AssertionError("atanh series error exceeds the internal budget")
     return 2 * total
 
 
@@ -114,7 +117,8 @@ def ln_scaled(x_scaled: int, prec: int) -> int:
         y >>= 1
         m += 1
         halvings += 1
-    assert halvings < 2100  # error halvings ulp, far under budget
+    if not halvings < 2100:  # error halvings ulp, far under budget
+        raise AssertionError("ln range reduction exceeds the internal budget")
     core = _atanh_twice((y - s) * s // (y + s), s)
     val = core + m * _ln2(s)
     g = 10**GUARD

@@ -19,6 +19,11 @@ achievable (universality), accepted by the divisibility criterion, or
 settled by the knapsack bit vector. The stage outcomes are computed
 incrementally from per-prefix state (running size, compatible divisors,
 achievability ladders) but agree with the plain module-level functions.
+
+The limiting probabilities do not need this walk (see
+:mod:`ksetfix.limits`); it serves the row stream of ``limit
+--emit-rows``, the pruning counters that ``limit`` prints, the row-count
+check of the limiting commands, and the tests as the row-by-row oracle.
 """
 
 from __future__ import annotations
@@ -44,41 +49,16 @@ class TableStats:
     pruned_divisibility: int = 0
     full_tests: int = 0
 
-    def merged(self, other: "TableStats") -> "TableStats":
-        return TableStats(
-            self.rows_emitted + other.rows_emitted,
-            self.partials_considered + other.partials_considered,
-            self.pruned_universal + other.pruned_universal,
-            self.pruned_divisibility + other.pruned_divisibility,
-            self.full_tests + other.full_tests,
-        )
-
 
 def position_bound(k: int, j: int) -> int:
     """Largest admissible multiplicity at position j: the largest m < k/j."""
     return (k - 1) // j
 
 
-def m1_bound(k: int) -> int:
-    """Largest admissible first-position multiplicity (k-1 ones)."""
-    return k - 1
-
-
-def enumerate_rows(
-    k: int,
-    consumer: RowSink,
-    *,
-    m1_hi: int | None = None,
-    m1_lo: int = 0,
-) -> TableStats:
+def enumerate_rows(k: int, consumer: RowSink) -> TableStats:
     """Deliver every k-free row exactly once, in decreasing lexicographic order.
 
-    The first row is (k-1, 0, ..., 0) and the last is all zeros. The
-    optional m1 window restricts the walk to rows with m1_lo <= m_1 <=
-    m1_hi; windows partitioning the full range reproduce the serial
-    sequence and counters exactly when concatenated in decreasing order
-    (the one candidate test at position 1 belongs to the window
-    containing the top value).
+    The first row is (k-1, 0, ..., 0) and the last is all zeros.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -107,12 +87,6 @@ def enumerate_rows(
             if j % d == 0:
                 mask |= 1 << (d - 2)
         div_of[j] = mask
-
-    top = bounds[0]
-    if m1_hi is None:
-        m1_hi = top
-    if not 0 <= m1_lo <= m1_hi <= top:
-        raise ValueError("invalid m1 window")
 
     ms: list[int] = []
     # per-depth prefix state, index = prefix length
@@ -156,19 +130,6 @@ def enumerate_rows(
             return True
         return False
 
-    # seed position 1 inside the window; only the window holding the top
-    # value performs (and counts) a real candidate test there
-    ladder1 = push_level(1, m1_hi)
-    if m1_hi == top:
-        if not descend(1, top, m1_lo, ladder1):
-            raise AssertionError("some m must keep the prefix k-free")
-    else:
-        # any m_1 <= k-2 < k-1 is k-free; enter the walk silently
-        ms.append(m1_hi)
-        compat.append(0 if m1_hi else all_d)
-        alive.append(m1_hi >= 1)
-        size.append(m1_hi)
-
     while True:
         depth = len(ms)
         if depth < length:
@@ -186,7 +147,7 @@ def enumerate_rows(
             compat.pop()
             alive.pop()
             size.pop()
-        if not ms or (len(ms) == 1 and ms[0] <= m1_lo):
+        if not ms:
             return stats
         j = len(ms)
         m = ms[-1] - 1
@@ -201,18 +162,3 @@ def rows_count(k: int) -> int:
     """Number of k-free rows."""
     return enumerate_rows(k, lambda row: None).rows_emitted
 
-
-def m1_windows(k: int, parts: int) -> list[tuple[int, int]]:
-    """Split the m_1 range into up to ``parts`` contiguous (hi, lo) windows.
-
-    Windows are returned in decreasing order; concatenating their row
-    streams in this order reproduces the serial enumeration.
-    """
-    top = m1_bound(k)
-    parts = max(1, min(parts, top + 1))
-    edges = [top - (top + 1) * i // parts for i in range(parts)]
-    windows = []
-    for i, hi in enumerate(edges):
-        lo = edges[i + 1] + 1 if i + 1 < len(edges) else 0
-        windows.append((hi, lo))
-    return windows

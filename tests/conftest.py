@@ -8,7 +8,7 @@ from reference_data import brute_partitions
 
 
 class SurvivalCache:
-    """Memoizes limiting survival polynomials and table stats per k."""
+    """Memoizes limiting survival polynomials and row counts per k."""
 
     def __init__(self):
         self._store = {}
@@ -21,7 +21,7 @@ class SurvivalCache:
     def poly(self, k):
         return self.get(k)[0]
 
-    def stats(self, k):
+    def rows(self, k):
         return self.get(k)[1]
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Fast and medium tiers run by default; the expensive reproduction tiers
-(k = 25 limit table, n <= 70 finite tables, full exceptional-pair list)
+(k = 21..30 limit table with row counts, n <= 70 finite tables, full
+exceptional-pair list)
 carry the ``longrun`` marker and are deselected unless requested with
 ``pytest -m longrun``.
 """
@@ -71,14 +72,14 @@ def test_criterion_02_limit_values_medium_tier():
 @pytest.mark.longrun
 def test_criterion_03_limit_values_long_tier(survival):
     failures = []
-    for k in range(21, 26):
+    for k in range(21, 31):
         fix = evaluate(ExpPoly.one() - survival.poly(k), 8)
         want_i, want_rows = LIMIT_TABLE_8DP[k]
         if fix.value != want_i:
             failures.append((k, "i_inf", fix.value, want_i))
-        if survival.stats(k).rows_emitted != want_rows:
-            failures.append((k, "rows", survival.stats(k).rows_emitted, want_rows))
-    report("criterion 03: limit table k <= 25 at 8 places (longrun)", failures)
+        if survival.rows(k) != want_rows:
+            failures.append((k, "rows", survival.rows(k), want_rows))
+    report("criterion 03: limit table k <= 30 at 8 places (longrun)", failures)
 
 
 def test_criterion_04_k4_closed_form(survival):
@@ -172,16 +173,8 @@ def check_monotone(k_hi: int, survival) -> list:
 
 def test_criterion_07_monotonicity_fast_tier(survival):
     report(
-        "criterion 07: limiting probability strictly decreasing, k <= 19",
-        check_monotone(19, survival),
-    )
-
-
-@pytest.mark.longrun
-def test_criterion_07_monotonicity_long_tier(survival):
-    report(
-        "criterion 07 (longrun): strictly decreasing through k = 25",
-        check_monotone(24, survival),
+        "criterion 07: limiting probability strictly decreasing through k = 30",
+        check_monotone(29, survival),
     )
 
 

@@ -151,7 +151,7 @@ def test_internal_invariant_maps_to_exit_three(monkeypatch):
 
     from ksetfix import cli
 
-    def broken(k, jobs=1):
+    def broken(k):
         raise AssertionError("forced for the exit-code test")
 
     monkeypatch.setattr(cli.limits, "limiting_survival_with_stats", broken)
@@ -159,6 +159,33 @@ def test_internal_invariant_maps_to_exit_three(monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         cli.run()
     assert excinfo.value.code == 3
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # python -O strips assert statements; the certificate check must still
+    # fire, and the CLI must still map it to exit code 3
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ksetfix
+
+    script = (
+        "import sys\n"
+        "from ksetfix import cli, limits\n"
+        "limits._EVAL_GUARD = -10\n"
+        "sys.argv = ['ksetfix', 'limit', '--k', '3']\n"
+        "cli.run()\n"
+    )
+    src = str(Path(ksetfix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "error budget" in proc.stderr
 
 
 def test_csv_digits_consistent_with_higher_precision(runner):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ksetfix import limits
 from ksetfix.exppoly import ExpPoly
 from ksetfix.limits import (
     capped_tail_weight,
@@ -15,7 +16,7 @@ from ksetfix.limits import (
     row_contribution,
     row_factor,
 )
-from ksetfix.table import enumerate_rows
+from ksetfix.table import enumerate_rows, rows_count
 
 from reference_data import (
     DECAY_EXPONENT_10DP,
@@ -93,8 +94,10 @@ def test_k4_survival_equals_closed_form():
     assert evaluate(closed, 6).value == "0.530442"
 
 
-@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("k", range(1, 15))
 def test_grouped_accumulation_matches_row_by_row(k, survival):
+    # the DP accumulates the rows grouped by achievable-sum mask; the sum
+    # of row_contribution over the walked rows is the oracle
     rows = []
     enumerate_rows(k, rows.append)
     direct = ExpPoly.zero()
@@ -103,11 +106,28 @@ def test_grouped_accumulation_matches_row_by_row(k, survival):
     assert survival.poly(k) == direct
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 31))
 def test_limit_fix_probability_eight_places(k, survival):
     fix = evaluate(ExpPoly.one() - survival.poly(k), 8)
     assert fix.value == LIMIT_TABLE_8DP[k][0]
-    assert survival.stats(k).rows_emitted == LIMIT_TABLE_8DP[k][1]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_dp_row_count_matches_walk(k, survival):
+    assert survival.rows(k) == rows_count(k) == LIMIT_TABLE_8DP[k][1]
+
+
+def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival):
+    rows = []
+    poly, stats = limits.limiting_survival_checked(7, rows.append)
+    assert poly == survival.poly(7)
+    assert stats == enumerate_rows(7, lambda row: None)
+    assert len(rows) == stats.rows_emitted == survival.rows(7)
+    monkeypatch.setattr(
+        limits, "limiting_survival_with_stats", lambda k: (poly, len(rows) + 1)
+    )
+    with pytest.raises(AssertionError, match="row walk"):
+        limits.limiting_survival_checked(7)
 
 
 def test_limiting_fix_probability_entry_point():
@@ -136,11 +156,6 @@ def test_coefficient_sum_identity_per_row(k):
                 for i in range(2, m + 1):
                     expected /= i
         assert row_contribution(k, row).coefficient_sum() == expected, row
-
-
-def test_parallel_survival_identical(survival):
-    for k in (5, 8):
-        assert limiting_survival(k, jobs=3) == survival.poly(k)
 
 
 def test_decay_exponent_values():

@@ -1,4 +1,4 @@
-"""Row table enumeration: order, completeness, counters, windows."""
+"""Row table enumeration: order, completeness, counters."""
 
 from itertools import product
 
@@ -13,8 +13,6 @@ from ksetfix.partitions import (
 from ksetfix.table import (
     TableStats,
     enumerate_rows,
-    m1_bound,
-    m1_windows,
     position_bound,
     rows_count,
 )
@@ -22,9 +20,9 @@ from ksetfix.table import (
 from reference_data import LIMIT_TABLE_8DP
 
 
-def collect(k, **kw):
+def collect(k):
     rows = []
-    stats = enumerate_rows(k, rows.append, **kw)
+    stats = enumerate_rows(k, rows.append)
     return rows, stats
 
 
@@ -138,22 +136,6 @@ def test_deterministic_repeat_runs():
     assert a_stats == b_stats
 
 
-@pytest.mark.parametrize("k,parts", [(5, 2), (8, 3), (9, 4), (9, 20)])
-def test_m1_windows_reproduce_serial_run(k, parts):
-    serial_rows, serial_stats = collect(k)
-    windows = m1_windows(k, parts)
-    assert windows[0][0] == m1_bound(k)
-    assert windows[-1][1] == 0
-    rows = []
-    merged = TableStats()
-    for hi, lo in windows:
-        part_rows, part_stats = collect(k, m1_hi=hi, m1_lo=lo)
-        rows.extend(part_rows)
-        merged = merged.merged(part_stats)
-    assert rows == serial_rows
-    assert merged == serial_stats
-
-
 def test_every_emitted_row_is_k_free():
     for k in range(2, 10):
         rows, _ = collect(k)
@@ -166,5 +148,3 @@ def test_every_emitted_row_is_k_free():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_rows(0, lambda r: None)
-    with pytest.raises(ValueError):
-        enumerate_rows(5, lambda r: None, m1_hi=10)
