@@ -7,7 +7,8 @@ The package computes, in exact arithmetic throughout:
   summed over the k-free cycle-type rows by a dynamic programme over
   achievable-sum masks, and evaluated to any number of decimal places;
 * the k-free rows themselves, by a pruned backtracking walk;
-* the finite-degree probabilities by exhausting integer partitions;
+* the finite-degree probabilities for every degree up to a bound at
+  once, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.
 """
 
@@ -17,8 +18,8 @@ from .finite import (
     exceptions,
     finite_fix_probability,
     finite_table,
+    fixing_count_table,
     fixing_counts,
-    partitions_of,
 )
 from .limits import (
     HighPrecisionDecimal,
@@ -56,12 +57,12 @@ __all__ = [
     "exceptions",
     "finite_fix_probability",
     "finite_table",
+    "fixing_count_table",
     "fixing_counts",
     "is_k_free",
     "limiting_fix_probability",
     "limiting_survival",
     "limiting_survival_with_stats",
-    "partitions_of",
     "row_contribution",
     "row_factor",
     "rows_count",

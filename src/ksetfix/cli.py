@@ -1,9 +1,9 @@
 """Command-line interface: tables, listings and Monte Carlo checks.
 
 All output is plain UTF-8 text with LF line endings and is byte
-deterministic given the flags and seed, including under --jobs > 1.
-Every command that computes probabilities accepts --jobs; only
-finite-table has work to spread over processes.
+deterministic given the flags and seed. Every command that computes
+probabilities accepts --jobs (or KSETFIX_JOBS) and ignores it: both
+engines run serially.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 """
 
@@ -34,7 +34,7 @@ jobs_option = click.option(
     default=1,
     envvar=_JOBS_ENV,
     show_default=True,
-    help=f"Worker processes for finite-table (env {_JOBS_ENV}).",
+    help=f"Accepted and ignored; every command runs serially (env {_JOBS_ENV}).",
 )
 output_option = click.option(
     "--output", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -107,9 +107,7 @@ def finite_table(
     output: str | None, jobs: int,
 ) -> None:
     """CSV (n,k,value) of finite probabilities for 2 <= n <= n-max, k <= n/2."""
-    rows = list(
-        finite.finite_table(n_max, k_max, digits, survival=which == "p", jobs=jobs)
-    )
+    rows = list(finite.finite_table(n_max, k_max, digits, survival=which == "p"))
     if not wide:
         lines = ["n,k,value"] + [f"{n},{k},{value}" for n, k, value in rows]
         _echo_lines(lines, output)

@@ -6,20 +6,26 @@ subset is a union of cycles). The probability of cycle type t is
 1/centralizer_size(t), so the fixing probability is a sum of exact unit
 fractions over the partitions of n, with denominator dividing n!.
 
-All partitions of one n are enumerated in a single pass that serves
-every k at once: each partition's achievable-size bit vector is computed
-once and the conjugacy-class size n!/z is added to every k it covers.
-Partitions universal past the largest k short-circuit the bit vector.
+Partitions are never built. Whether a cycle type reaches every k <= cap
+depends only on the achievable-sum mask of its parts up to cap, so one
+dynamic programme over the part lengths j = 1..cap serves every n <= n_max
+and every k <= cap at once. Its states are, per total size s of the parts
+folded so far, {mask: sum of n_max!/z}, always an integer. A state whose
+size leaves no room for another part up to cap is settled into per-(s, k)
+totals at once, so the live states stay few. Parts longer than cap never
+change the mask; they fill the remaining n - s points in closed form,
+through the number of permutations of n - s points whose cycles are all
+longer than cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Iterator
 
-from .partitions import achievable_sizes_mask, centralizer_size, universality_index
+# not used here; the benchmark's tracer hooks these names on this module
+from .partitions import achievable_sizes_mask, universality_index  # noqa: F401
 from .precision import format_scaled
 
 
@@ -33,72 +39,85 @@ class FiniteResult:
     survival: Fraction
 
 
-def descending_part_lists(n: int) -> Iterator[list[int]]:
-    """All partitions of n as weakly decreasing part lists, largest first.
+def fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
+    """counts[n][k] = number of permutations of Sym_n fixing some k-subset.
 
-    Successor rule: decrement the rightmost part exceeding 1 and repack
-    everything after it greedily into parts no larger than the new value.
-    The yielded list is reused between steps; copy it if retained.
+    Covers every n <= n_max and k <= min(cap, n); counts[n][0] is n!.
+    Parts j = 1..cap are folded in bounded-knapsack order (sizes from the
+    largest down), dividing the weight n_max!/z by j*m for the m-th copy
+    of j, which is always exact.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = [n]
-    while True:
-        yield parts
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        v = parts[i] - 1
-        freed = len(parts) - i
-        del parts[i:]
-        parts.append(v)
-        chunks, rest = divmod(freed, v)
-        parts.extend([v] * chunks)
-        if rest:
-            parts.append(rest)
+    if n_max < 1 or cap < 1:
+        raise ValueError("need n_max >= 1 and cap >= 1")
+    fact = [1]
+    for i in range(1, n_max + 1):
+        fact.append(fact[-1] * i)
+    full = (1 << cap + 1) - 1
+    live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    live[0][1] = fact[n_max]
+    # totals[s][k] = weight[s] - missing[s][k]: most masks have more bits
+    # set than clear, so settling walks the clear bits
+    weight = [0] * (n_max + 1)
+    missing = [[0] * (cap + 1) for _ in range(n_max + 1)]
 
+    def settle(s: int, mask: int, w: int) -> None:
+        weight[s] += w
+        row = missing[s]
+        gaps = ~mask & full
+        while gaps:
+            low = gaps & -gaps
+            row[low.bit_length() - 1] += w
+            gaps ^= low
 
-def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as multiplicity tuples, in descending-lex part order."""
-    for parts in descending_part_lists(n):
-        ms = [0] * parts[0]
-        for p in parts:
-            ms[p - 1] += 1
-        yield tuple(ms)
+    for j in range(1, cap + 1):
+        # after this layer, a state of size above limit has no room for
+        # any part j+1..cap, so it is settled instead of kept
+        limit = n_max - j - 1 if j < cap else -1
+        for s in range(n_max - j, -1, -1):
+            for mask, w in live[s].items():
+                t, m = s, 0
+                while t + j <= n_max:
+                    t += j
+                    m += 1
+                    mask |= mask << j & full
+                    w //= j * m
+                    if t > limit:
+                        settle(t, mask, w)
+                    else:
+                        layer = live[t]
+                        layer[mask] = layer.get(mask, 0) + w
+            if s > limit:
+                for mask, w in live[s].items():
+                    settle(s, mask, w)
+                live[s] = {}
+
+    # big[r]: permutations of r points whose cycles are all longer than cap
+    big = [1] + [0] * n_max
+    for r in range(cap + 1, n_max + 1):
+        big[r] = sum(
+            fact[r - 1] // fact[r - length] * big[r - length]
+            for length in range(cap + 1, r + 1)
+        )
+    counts = []
+    for n in range(n_max + 1):
+        row = [0] * (min(cap, n) + 1)
+        for s in range(n + 1):
+            if big[n - s]:
+                scale, div = fact[n] * big[n - s], fact[n_max] * fact[n - s]
+                for k in range(len(row)):
+                    row[k] += (weight[s] - missing[s][k]) * scale // div
+        counts.append(row)
+    return counts
 
 
 def fixing_counts(n: int, k_cap: int) -> list[int]:
     """counts[k] = number of permutations of Sym_n fixing some k-subset, k <= k_cap.
 
-    One pass over the partitions of n. counts[0] is n! for convenience.
+    counts[0] is n! for convenience.
     """
     if not 1 <= k_cap <= n:
         raise ValueError("need 1 <= k_cap <= n")
-    nf = factorial(n)
-    counts = [0] * (k_cap + 1)
-    counts[0] = nf
-    universal_weight = 0
-    for parts in descending_part_lists(n):
-        ms = [0] * parts[0]
-        z = 1
-        for p in parts:
-            ms[p - 1] += 1
-        for j, m in enumerate(ms, start=1):
-            if m:
-                z *= j**m * factorial(m)
-        w = nf // z
-        if universality_index(ms) >= k_cap:
-            universal_weight += w
-            continue
-        bits = achievable_sizes_mask(ms, k_cap)
-        for k in range(1, k_cap + 1):
-            if bits >> k & 1:
-                counts[k] += w
-    for k in range(1, k_cap + 1):
-        counts[k] += universal_weight
-    return counts
+    return fixing_count_table(n, k_cap)[n]
 
 
 def finite_fix_probability(n: int, k: int) -> FiniteResult:
@@ -123,33 +142,18 @@ def exceptions(n_max: int) -> set[tuple[int, int]]:
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    found = set()
-    for n in range(4, n_max + 1):
-        counts = fixing_counts(n, n // 2)
-        for k in range(1, n // 2):
-            if counts[k] < counts[k + 1]:
-                found.add((n, k))
-    return found
+    table = fixing_count_table(n_max, n_max // 2)
+    return {
+        (n, k)
+        for n in range(4, n_max + 1)
+        for k in range(1, n // 2)
+        if table[n][k] < table[n][k + 1]
+    }
 
 
 def format_probability(value: Fraction, digits: int) -> str:
     """value as a decimal string with ``digits`` places, ties to even."""
     return format_scaled(round(value * 10**digits), digits)
-
-
-def _table_rows_for_n(args) -> list[tuple[int, int, str]]:
-    n, k_max, digits, survival = args
-    k_top = min(n // 2, k_max)
-    if k_top < 1:
-        return []
-    counts = fixing_counts(n, k_top)
-    out = []
-    for k in range(1, k_top + 1):
-        value = Fraction(counts[k], counts[0])
-        if survival:
-            value = 1 - value
-        out.append((n, k, format_probability(value, digits)))
-    return out
 
 
 def finite_table(
@@ -158,26 +162,19 @@ def finite_table(
     digits: int,
     *,
     survival: bool = False,
-    jobs: int = 1,
 ) -> Iterator[tuple[int, int, str]]:
     """Rows (n, k, value) for 2 <= n <= n_max, 1 <= k <= min(n//2, k_max).
 
     Values are fixing probabilities, or their complements with
-    ``survival=True``, rounded to ``digits`` places. With jobs > 1 the
-    independent per-n passes run in a process pool; results stream in
-    n order either way.
+    ``survival=True``, rounded to ``digits`` places.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    work = [(n, k_max, digits, survival) for n in range(2, n_max + 1)]
-    if jobs <= 1:
-        for item in work:
-            yield from _table_rows_for_n(item)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(_table_rows_for_n, work):
-            yield from rows
+    table = fixing_count_table(n_max, min(n_max // 2, k_max))
+    for n in range(2, n_max + 1):
+        counts = table[n]
+        for k in range(1, min(n // 2, k_max) + 1):
+            value = Fraction(counts[k], counts[0])
+            yield n, k, format_probability(1 - value if survival else value, digits)

@@ -3,7 +3,8 @@
 The golden tables in tests/golden/*.csv and the constants here are
 regression targets; the oracle functions recompute quantities by routes
 deliberately different from the library's (direct enumeration, classical
-recurrences, vectorized orbit tests).
+recurrences, vectorized orbit tests, and the finite engine's former
+one-knapsack-per-partition pass).
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from pathlib import Path
+from typing import Iterator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -119,6 +122,75 @@ def brute_partitions(n: int) -> list[tuple[int, ...]]:
             ms[p - 1] += 1
         out.append(tuple(ms))
     return out
+
+
+def descending_part_lists(n: int) -> Iterator[list[int]]:
+    """All partitions of n as weakly decreasing part lists, largest first.
+
+    Successor rule: decrement the rightmost part exceeding 1 and repack
+    everything after it greedily into parts no larger than the new value.
+    The yielded list is reused between steps; copy it if retained.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    parts = [n]
+    while True:
+        yield parts
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        v = parts[i] - 1
+        freed = len(parts) - i
+        del parts[i:]
+        parts.append(v)
+        chunks, rest = divmod(freed, v)
+        parts.extend([v] * chunks)
+        if rest:
+            parts.append(rest)
+
+
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as multiplicity tuples, in descending-lex part order."""
+    for parts in descending_part_lists(n):
+        ms = [0] * parts[0]
+        for p in parts:
+            ms[p - 1] += 1
+        yield tuple(ms)
+
+
+def partition_fixing_counts(n: int, k_cap: int) -> list[int]:
+    """counts[k] = permutations of Sym_n fixing some k-subset, k <= k_cap.
+
+    One pass over the partitions of n with one achievable-size knapsack
+    per partition (skipped for partitions universal past k_cap), adding
+    the class size n!/z to every k it reaches. counts[0] is n!.
+    """
+    # imported here: the benchmark's tests load this module's constants
+    # without the package on the path
+    from ksetfix.partitions import achievable_sizes_mask, universality_index
+
+    nf = factorial(n)
+    counts = [0] * (k_cap + 1)
+    counts[0] = nf
+    universal_weight = 0
+    for ms in partitions_of(n):
+        z = 1
+        for j, m in enumerate(ms, start=1):
+            if m:
+                z *= j**m * factorial(m)
+        w = nf // z
+        if universality_index(ms) >= k_cap:
+            universal_weight += w
+            continue
+        bits = achievable_sizes_mask(ms, k_cap)
+        for k in range(1, k_cap + 1):
+            if bits >> k & 1:
+                counts[k] += w
+    for k in range(1, k_cap + 1):
+        counts[k] += universal_weight
+    return counts
 
 
 def partition_count_recurrence(n_max: int) -> list[int]:

@@ -1,10 +1,10 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
-Fast and medium tiers run by default; the expensive reproduction tiers
-(k = 21..30 limit table with row counts, n <= 70 finite tables, full
-exceptional-pair list)
-carry the ``longrun`` marker and are deselected unless requested with
-``pytest -m longrun``.
+Fast and medium tiers run by default, including the n <= 70 finite
+tables and the full exceptional-pair list; the one expensive
+reproduction tier (k = 21..30 limit table with row counts, which walks
+every row) carries the ``longrun`` marker and is deselected unless
+requested with ``pytest -m longrun``.
 """
 
 from fractions import Fraction
@@ -133,10 +133,9 @@ def test_criterion_05_finite_tables_fast_tier():
     )
 
 
-@pytest.mark.longrun
 def test_criterion_05_finite_tables_long_tier():
     report(
-        "criterion 05 (longrun): finite tables n <= 70 at 5 places",
+        "criterion 05: finite tables 41 <= n <= 70 at 5 places, both variants",
         check_finite_range(41, 70),
     )
 
@@ -150,13 +149,12 @@ def test_criterion_06_exceptional_pairs():
     report("criterion 06: rising pairs up to n = 48", failures)
 
 
-@pytest.mark.longrun
 def test_criterion_06_exceptional_pairs_long_tier():
     failures = []
     got = exceptions(70)
     if got != RISING_PAIRS_70:
         failures.append((sorted(got ^ RISING_PAIRS_70)))
-    report("criterion 06 (longrun): all twenty rising pairs to n = 70", failures)
+    report("criterion 06: all twenty rising pairs to n = 70", failures)
 
 
 def check_monotone(k_hi: int, survival) -> list:

@@ -1,6 +1,10 @@
-"""Finite engine: partition stream, exact probabilities, exceptional pairs."""
+"""Finite engine: count table, exact probabilities, exceptional pairs.
+
+The partition stream tested first is the count table's oracle.
+"""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -9,9 +13,9 @@ from ksetfix.finite import (
     exceptions,
     finite_fix_probability,
     finite_table,
+    fixing_count_table,
     fixing_counts,
     format_probability,
-    partitions_of,
 )
 
 from reference_data import (
@@ -19,7 +23,11 @@ from reference_data import (
     brute_partitions,
     load_golden_finite,
     partition_count_recurrence,
+    partition_fixing_counts,
+    partitions_of,
 )
+
+oracle_counts = lru_cache(maxsize=None)(partition_fixing_counts)
 
 
 def test_partition_counts_match_recurrence():
@@ -52,6 +60,27 @@ def test_partitions_descending_lex_on_part_lists():
         assert seen[-1] == [1] * n
 
 
+def check_table_against_oracle(n_max, cap):
+    table = fixing_count_table(n_max, cap)
+    assert len(table) == n_max + 1
+    assert table[0] == [1]
+    for n in range(1, n_max + 1):
+        assert table[n] == oracle_counts(n, min(cap, n)), (n_max, cap, n)
+
+
+@pytest.mark.parametrize("n_max", range(1, 25))
+def test_count_table_matches_partition_oracle_every_cap(n_max):
+    for cap in range(1, n_max + 1):
+        check_table_against_oracle(n_max, cap)
+
+
+@pytest.mark.parametrize(
+    "n_max,cap", [(40, 20), pytest.param(50, 25, marks=pytest.mark.longrun)]
+)
+def test_count_table_matches_partition_oracle(n_max, cap):
+    check_table_against_oracle(n_max, cap)
+
+
 def test_simple_exact_values():
     assert finite_fix_probability(2, 1).fix_probability == Fraction(1, 2)
     assert finite_fix_probability(4, 2).fix_probability == Fraction(5, 12)
@@ -67,6 +96,10 @@ def test_validation():
         finite_fix_probability(4, 0)
     with pytest.raises(ValueError):
         exceptions(3)
+    with pytest.raises(ValueError):
+        fixing_count_table(0, 1)
+    with pytest.raises(ValueError):
+        fixing_count_table(5, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -131,11 +164,6 @@ def test_finite_table_survival_variant():
     )
     assert rows[(3, 1)] == "0.33333"
     assert rows[(4, 2)] == "0.58333"
-
-
-def test_finite_table_parallel_identical():
-    serial = list(finite_table(14, 7, 5))
-    assert list(finite_table(14, 7, 5, jobs=3)) == serial
 
 
 def test_columns_settle_to_limiting_values():

@@ -1,10 +1,13 @@
-"""Fixed-point kernels against known constants and float cross-checks."""
+"""Fixed-point kernels against known constants, floats and a decimal oracle."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ksetfix.exppoly import ExpPoly
+from ksetfix.exppoly import ExpPoly, exponent_fraction
 from ksetfix.limits import evaluate
 from ksetfix.precision import (
     exp_neg_fraction,
@@ -119,3 +122,73 @@ def test_evaluate_monotone_refinement():
 def test_evaluate_rejects_bad_digits():
     with pytest.raises(ValueError):
         evaluate(ExpPoly.one(), 0)
+
+
+# The decimal oracle: stdlib decimal at ORACLE_PREC significant digits,
+# whose exp and ln are correctly rounded, so its own error is some 30
+# places below the 50-place results it checks.
+DIGITS = 50
+ORACLE_PREC = 80
+
+
+def oracle(fn):
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_PREC
+        return fn()
+
+
+def oracle_exp_neg(q: Fraction) -> Decimal:
+    return oracle(lambda: (-Decimal(q.numerator) / q.denominator).exp())
+
+
+def oracle_poly(poly: ExpPoly) -> Decimal:
+    return oracle(lambda: sum(
+        Decimal(c.numerator) / c.denominator * oracle_exp_neg(exponent_fraction(mask))
+        for mask, c in poly.terms.items()
+    ))
+
+
+def scaled_error(got: int, want: Decimal) -> Decimal:
+    return oracle(lambda: abs(got - want.scaleb(DIGITS)))
+
+
+@given(st.integers(1, 10**4).flatmap(
+    lambda den: st.tuples(st.integers(0, 6 * den), st.just(den))
+))
+def test_exp_neg_fraction_within_two_ulp_of_decimal_oracle(num_den):
+    # the documented bound: 2 ulp at the requested scale, over the
+    # 0 <= num/den <= 6 range that harmonic exponents stay in
+    num, den = num_den
+    got = exp_neg_fraction(num, den, DIGITS)
+    assert scaled_error(got, oracle_exp_neg(Fraction(num, den))) <= 2
+
+
+@given(st.integers(1, 10**70))
+def test_ln_scaled_within_two_ulp_of_decimal_oracle(x_scaled):
+    # arguments from 10**-50 to 10**20, both signs of the logarithm
+    got = ln_scaled(x_scaled, DIGITS)
+    want = oracle(lambda: Decimal(x_scaled).scaleb(-DIGITS).ln())
+    assert scaled_error(got, want) <= 2
+
+
+exp_polys = st.dictionaries(
+    st.integers(0, 2**16 - 1),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    max_size=12,
+).map(ExpPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_polys, st.integers(1, DIGITS))
+def test_evaluate_certificate_against_decimal_oracle(poly, digits):
+    # the certificate: the printed value is within 10**-digits of the truth
+    got = Decimal(evaluate(poly, digits).value)
+    assert oracle(lambda: abs(got - oracle_poly(poly))) < Decimal(10) ** -digits
+
+
+@pytest.mark.parametrize("k", [4, 10, 16])
+def test_evaluate_survival_polynomials_against_decimal_oracle(k, survival):
+    poly = survival.poly(k)
+    for p in (poly, ExpPoly.one() - poly):
+        got = Decimal(evaluate(p, DIGITS).value)
+        assert oracle(lambda: abs(got - oracle_poly(p))) < Decimal(10) ** -DIGITS
