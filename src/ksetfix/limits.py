@@ -34,12 +34,12 @@ contributes e^{-1/j} + (1 - e^{-1/j}) = 1 and doubles the row count; a
 forbidden one contributes e^{-1/j}. This reproduces the row-by-row sum
 exactly.
 
-The limiting CLI commands also walk the rows with
-:func:`ksetfix.table.enumerate_rows`, through
-:func:`limiting_survival_checked`: the walk is an independent count of
-the k-free rows, gives the pruning counters and the ``--emit-rows``
-stream, and must agree with the programme's count. The walk grows with
-the row count, the programme does not.
+The limiting CLI commands check this count, through
+:func:`limiting_survival_checked`, against the independent one of
+:func:`ksetfix.table.enumerate_rows`, which also gives the pruning
+counters. Without a consumer that function counts the rows by its own
+dynamic programme over row prefixes; only ``limit --emit-rows`` walks
+the rows one by one.
 """
 
 from __future__ import annotations
@@ -182,24 +182,21 @@ def _expand_groups(
     return ExpPoly({e: Fraction(v, common) for e, v in total.items()}), row_count
 
 
-def _discard(row: tuple[int, ...]) -> None:
-    pass
-
-
 def limiting_survival_checked(
-    k: int, consumer: RowSink = _discard
+    k: int, consumer: RowSink | None = None
 ) -> tuple[ExpPoly, TableStats]:
-    """The survival polynomial, and the counters of a row walk that checks it.
+    """The survival polynomial, and the table counters that check it.
 
-    The walk delivers every k-free row to ``consumer``; a row count that
-    differs from the dynamic programme's is an internal invariant
-    violation.
+    The counters come from :func:`~ksetfix.table.enumerate_rows`, which
+    counts the k-free rows without visiting them, or walks them into
+    ``consumer`` when one is given. A row count that differs from the
+    survival programme's is an internal invariant violation.
     """
     survival, rows = limiting_survival_with_stats(k)
     stats = enumerate_rows(k, consumer)
     if stats.rows_emitted != rows:
         raise AssertionError(
-            f"row walk found {stats.rows_emitted} rows, the DP {rows}"
+            f"the table counted {stats.rows_emitted} rows, the DP {rows}"
         )
     return survival, stats
 

@@ -20,10 +20,12 @@ settled by the knapsack bit vector. The stage outcomes are computed
 incrementally from per-prefix state (running size, compatible divisors,
 achievability ladders) but agree with the plain module-level functions.
 
-The limiting probabilities do not need this walk (see
-:mod:`ksetfix.limits`); it serves the row stream of ``limit
---emit-rows``, the pruning counters that ``limit`` prints, the row-count
-check of the limiting commands, and the tests as the row-by-row oracle.
+Called without a consumer, :func:`enumerate_rows` visits no row: a
+dynamic programme over row prefixes, keyed by what the walk's tests read,
+gives the same counters in time that grows with the number of keys, not
+of rows. The limiting commands check their row count and print the
+pruning counters from it. The walk itself serves the row stream of
+``limit --emit-rows`` and the tests, as the row-by-row oracle.
 """
 
 from __future__ import annotations
@@ -55,13 +57,36 @@ def position_bound(k: int, j: int) -> int:
     return (k - 1) // j
 
 
-def enumerate_rows(k: int, consumer: RowSink) -> TableStats:
+def _divisor_masks(k: int) -> tuple[int, list[int]]:
+    """The divisors that certify k-freeness, as bit masks.
+
+    Bit d-2 stands for a d in 2..k//2 that does not divide k. Returns the
+    mask of all such d and, for every part size j < k, the mask of those
+    dividing j; a prefix passes the divisibility test while the AND of
+    its parts' masks is nonzero.
+    """
+    usable = 0
+    div_of = [0] * k
+    for d in range(2, k // 2 + 1):
+        if k % d:
+            bit = 1 << (d - 2)
+            usable |= bit
+            for j in range(d, k, d):
+                div_of[j] |= bit
+    return usable, div_of
+
+
+def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
     """Deliver every k-free row exactly once, in decreasing lexicographic order.
 
-    The first row is (k-1, 0, ..., 0) and the last is all zeros.
+    The first row is (k-1, 0, ..., 0) and the last is all zeros. Without
+    a consumer no row is visited: :func:`_count_rows` returns the same
+    counters.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if consumer is None:
+        return _count_rows(k)
     stats = TableStats()
     if k == 1:
         consumer(())
@@ -72,26 +97,12 @@ def enumerate_rows(k: int, consumer: RowSink) -> TableStats:
     kbit = 1 << k
     full = (1 << (k + 1)) - 1
     bounds = [position_bound(k, j) for j in range(1, k)]
-
-    # divisor bookkeeping: bit d-2 stands for the candidate divisor d
-    dcount = max(0, k // 2 - 1)
-    all_d = (1 << dcount) - 1
-    usable_d = 0
-    for d in range(2, k // 2 + 1):
-        if k % d:
-            usable_d |= 1 << (d - 2)
-    div_of = [0] * k  # div_of[j]: divisors d of j, for part size j
-    for j in range(1, k):
-        mask = 0
-        for d in range(2, k // 2 + 1):
-            if j % d == 0:
-                mask |= 1 << (d - 2)
-        div_of[j] = mask
+    usable_d, div_of = _divisor_masks(k)
 
     ms: list[int] = []
     # per-depth prefix state, index = prefix length
     ladders: list[list[int]] = [[1]]  # ladders[i][m]: achievability of ms[:i-1]+(m,)
-    compat = [all_d]  # divisors still dividing every part size present
+    compat = [usable_d]  # usable divisors still dividing every part size present
     alive = [True]  # no prefix position u has running size < u
     size = [0]
 
@@ -117,7 +128,7 @@ def enumerate_rows(k: int, consumer: RowSink) -> TableStats:
                 stats.pruned_universal += 1
                 continue
             c = pre_compat & div_of[j] if m else pre_compat
-            if c & usable_d:
+            if c:
                 stats.pruned_divisibility += 1
             else:
                 stats.full_tests += 1
@@ -158,7 +169,61 @@ def enumerate_rows(k: int, consumer: RowSink) -> TableStats:
         compat[j] = compat[j - 1] & div_of[j] if m else compat[j - 1]
 
 
+def _count_rows(k: int) -> TableStats:
+    """The walk's counters, from a dynamic programme over row prefixes.
+
+    The walk calls ``descend`` once on every k-free prefix, and what
+    ``descend`` counts and accepts depends only on the prefix's key: its
+    achievable sums, the usable divisors dividing all its parts, and its
+    running size while it is alive (-1 after). So the programme keeps the
+    number of prefixes per key and replays ``descend`` once per key,
+    weighting each counter with that number. After position j, the full
+    tests of later positions j' read only bits k - i*j' (i >= 1) of the
+    achievable sums, all below k - j, so the higher bits are dropped and
+    more prefixes share a key.
+    """
+    stats = TableStats()
+    kbit = 1 << k
+    full = (1 << (k + 1)) - 1
+    usable_d, div_of = _divisor_masks(k)
+    # (achievable sums, usable divisors of every part, size or -1) -> prefixes
+    states = {(1, usable_d, 0): 1}
+    for j in range(1, k):
+        ub = position_bound(k, j)
+        keep = (1 << (k - j)) - 1
+        div = div_of[j]
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (reach, compat, size), count in states.items():
+            ladder = [reach]
+            for _ in range(ub):
+                prev = ladder[-1]
+                ladder.append(prev | (prev << j) & full)
+            for top in range(ub, -1, -1):
+                stats.partials_considered += count
+                if size >= 0 and size + j * top >= k:
+                    stats.pruned_universal += count
+                    continue
+                if compat & div if top else compat:
+                    stats.pruned_divisibility += count
+                    break
+                stats.full_tests += count
+                if not ladder[top] & kbit:
+                    break
+            # the walk goes on from top, top-1, ..., 0 without retesting
+            for m in range(top, -1, -1):
+                sz = size + j * m
+                key = (
+                    ladder[m] & keep,
+                    compat & div if m else compat,
+                    sz if size >= 0 and sz >= j else -1,
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    stats.rows_emitted = sum(states.values())
+    return stats
+
+
 def rows_count(k: int) -> int:
     """Number of k-free rows."""
-    return enumerate_rows(k, lambda row: None).rows_emitted
+    return enumerate_rows(k).rows_emitted
 

@@ -1,9 +1,9 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Fast and medium tiers run by default, including the n <= 70 finite
-tables and the full exceptional-pair list; the one expensive
-reproduction tier (k = 21..30 limit table with row counts, which walks
-every row) carries the ``longrun`` marker and is deselected unless
+tables and the full exceptional-pair list; the k = 21..30 limit table
+with row counts, whose k = 29 reference count disagrees with the
+computed one, carries the ``longrun`` marker and is deselected unless
 requested with ``pytest -m longrun``.
 """
 

@@ -40,6 +40,16 @@ def test_limit_emit_rows(runner, tmp_path):
     )
 
 
+@pytest.mark.parametrize("k", [1, 7, 12, 16])
+def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
+    # --emit-rows walks the rows; without it the table counts them
+    args = ["limit", "--k", str(k)]
+    counted = runner.invoke(main, args)
+    walked = runner.invoke(main, args + ["--emit-rows", str(tmp_path / "rows.csv")])
+    assert counted.exit_code == walked.exit_code == 0
+    assert counted.output == walked.output
+
+
 def test_limit_table_k6(runner):
     result = runner.invoke(main, ["limit-table", "--k-max", "6"])
     assert result.exit_code == 0

@@ -16,7 +16,7 @@ from ksetfix.limits import (
     row_contribution,
     row_factor,
 )
-from ksetfix.table import enumerate_rows, rows_count
+from ksetfix.table import enumerate_rows
 
 from reference_data import (
     DECAY_EXPONENT_10DP,
@@ -114,7 +114,8 @@ def test_limit_fix_probability_eight_places(k, survival):
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_dp_row_count_matches_walk(k, survival):
-    assert survival.rows(k) == rows_count(k) == LIMIT_TABLE_8DP[k][1]
+    walked = enumerate_rows(k, lambda row: None).rows_emitted
+    assert survival.rows(k) == walked == LIMIT_TABLE_8DP[k][1]
 
 
 def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival):
@@ -123,10 +124,13 @@ def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival)
     assert poly == survival.poly(7)
     assert stats == enumerate_rows(7, lambda row: None)
     assert len(rows) == stats.rows_emitted == survival.rows(7)
+    assert limits.limiting_survival_checked(7) == (poly, stats)
     monkeypatch.setattr(
         limits, "limiting_survival_with_stats", lambda k: (poly, len(rows) + 1)
     )
-    with pytest.raises(AssertionError, match="row walk"):
+    with pytest.raises(AssertionError, match="table counted"):
+        limits.limiting_survival_checked(7, lambda row: None)
+    with pytest.raises(AssertionError, match="table counted"):
         limits.limiting_survival_checked(7)
 
 

@@ -118,15 +118,28 @@ def test_matches_reference_walk_and_counter_split(k):
     ref_rows, ref_stats = reference_enumerate(k)
     assert rows == ref_rows
     assert stats == ref_stats
+    assert enumerate_rows(k) == ref_stats
 
 
 def test_counter_identity():
     for k in range(1, 12):
-        _, s = collect(k)
-        assert s.partials_considered == (
-            s.pruned_universal + s.pruned_divisibility + s.full_tests
-        )
-        assert s.rows_emitted == rows_count(k)
+        _, walked = collect(k)
+        counted = enumerate_rows(k)
+        for s in (walked, counted):
+            assert s.partials_considered == (
+                s.pruned_universal + s.pruned_divisibility + s.full_tests
+            )
+        assert walked.rows_emitted == rows_count(k)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [*range(1, 21)]
+    + [pytest.param(k, marks=pytest.mark.longrun) for k in range(21, 25)],
+)
+def test_count_path_matches_walk(k):
+    # without a consumer the counters come from the prefix-state DP
+    assert enumerate_rows(k) == enumerate_rows(k, lambda r: None)
 
 
 def test_deterministic_repeat_runs():
@@ -148,3 +161,5 @@ def test_every_emitted_row_is_k_free():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_rows(0, lambda r: None)
+    with pytest.raises(ValueError):
+        enumerate_rows(0)
