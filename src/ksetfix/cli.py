@@ -14,7 +14,6 @@ import sys
 import click
 
 from . import finite, limits, montecarlo
-from .exppoly import ExpPoly
 
 _JOBS_ENV = "KSETFIX_JOBS"
 
@@ -64,8 +63,8 @@ def limit(k: int, digits: int, emit_rows: str | None, jobs: int) -> None:
             survival, stats = limits.limiting_survival_checked(
                 k, lambda row: fh.write(",".join(map(str, row)) + "\n")
             )
-    fix = limits.evaluate(ExpPoly.one() - survival, digits)
     surv = limits.evaluate(survival, digits)
+    fix = surv.complement()
     click.echo(f"k = {k}")
     click.echo(f"i_inf = {fix}")
     click.echo(f"p_inf = {surv}")
@@ -86,7 +85,7 @@ def limit_table(k_max: int, digits: int, output: str | None, jobs: int) -> None:
     lines = ["k,i_inf,rows"]
     for k in range(1, k_max + 1):
         survival, stats = limits.limiting_survival_checked(k)
-        fix = limits.evaluate(ExpPoly.one() - survival, digits)
+        fix = limits.evaluate(survival, digits).complement()
         lines.append(f"{k},{fix},{stats.rows_emitted}")
     _echo_lines(lines, output)
 

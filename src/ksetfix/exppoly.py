@@ -42,10 +42,6 @@ class ExpPoly:
         return cls({0: Fraction(1)})
 
     @classmethod
-    def term(cls, mask: int, coeff: Rational) -> "ExpPoly":
-        return cls({mask: coeff})
-
-    @classmethod
     def exp_inv(cls, j: int, coeff: Rational = 1) -> "ExpPoly":
         """The single term coeff * e^{-1/j}."""
         if j < 1:

@@ -80,6 +80,17 @@ class HighPrecisionDecimal:
     def as_fraction(self) -> Fraction:
         return Fraction(self.scaled, 10**self.digits)
 
+    def complement(self) -> HighPrecisionDecimal:
+        """1 - value to the same places, with the same certificate.
+
+        The value is x rounded half to even at scale 10**digits, which is
+        even, so rounding 1 - x the same way gives this same string.
+        """
+        scaled = 10**self.digits - self.scaled
+        return HighPrecisionDecimal(
+            self.digits, format_scaled(scaled, self.digits), scaled
+        )
+
 
 def capped_tail_weight(k: int, j: int) -> Fraction:
     """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
@@ -233,8 +244,8 @@ def evaluate(poly: ExpPoly, digits: int) -> HighPrecisionDecimal:
 
 
 def limiting_fix_probability(k: int, digits: int) -> HighPrecisionDecimal:
-    """i(k) = 1 - survival, to ``digits`` places; subtraction done symbolically."""
-    return evaluate(ExpPoly.one() - limiting_survival(k), digits)
+    """i(k) = 1 - survival, to ``digits`` places."""
+    return evaluate(limiting_survival(k), digits).complement()
 
 
 def decay_exponent_scaled(prec: int) -> int:

@@ -16,23 +16,9 @@ knapsack over a bit vector settles the rest.
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Multiplicities = Sequence[int]
-
-
-def normalize(ms: Iterable[int]) -> tuple[int, ...]:
-    """Canonical form: tuple with trailing zeros removed."""
-    out = tuple(ms)
-    end = len(out)
-    while end and out[end - 1] == 0:
-        end -= 1
-    return out[:end]
-
-
-def partition_size(ms: Multiplicities) -> int:
-    """Total size sum_j j*m_j of the represented partition."""
-    return sum(j * m for j, m in enumerate(ms, start=1))
 
 
 def universality_index(ms: Multiplicities) -> int:

@@ -5,35 +5,36 @@ is k-free, with m_j < k/j at every position. Cycles of length exactly k
 can never occur in a k-free partition, so position k is omitted from the
 representation and rows have length k-1 (k=1 has the single empty row).
 
-The walk is depth-first with in-place backtracking: extend the current
-partial row one position at a time, choosing at each new position the
-largest multiplicity that keeps the partial row k-free (0 always works,
-since prefixes of k-free rows are k-free); emit when complete; then strip
-trailing zeros and decrement the last nonzero entry, which again yields a
-k-free partial row without retesting.
+One step, :func:`_descend`, classifies the multiplicities of a position
+after a row prefix. It reads only the prefix's key: its achievable sums,
+the usable divisors dividing all its parts, and its running size. It
+tries the largest admissible multiplicity first and goes down until one
+keeps the prefix k-free (0 always does, since prefixes of k-free rows
+are k-free); that one and every smaller one are the prefix's children,
+k-free without a retest. Each try is classified by the three-stage test
+of :mod:`ksetfix.partitions` and counted in :class:`TableStats`:
+rejected as reaching size k with everything below achievable
+(universality), accepted by the divisibility criterion, or settled by
+the knapsack bit vector. The stage outcomes agree with the plain
+module-level functions.
 
-Each candidate multiplicity tried during an extension is classified by
-the three-stage test of :mod:`ksetfix.partitions` and counted in
-:class:`TableStats`: rejected as reaching size k with everything below
-achievable (universality), accepted by the divisibility criterion, or
-settled by the knapsack bit vector. The stage outcomes are computed
-incrementally from per-prefix state (running size, compatible divisors,
-achievability ladders) but agree with the plain module-level functions.
-
-Called without a consumer, :func:`enumerate_rows` visits no row: a
-dynamic programme over row prefixes, keyed by what the walk's tests read,
-gives the same counters in time that grows with the number of keys, not
-of rows. The limiting commands check their row count and print the
-pruning counters from it. The walk itself serves the row stream of
-``limit --emit-rows`` and the tests, as the row-by-row oracle.
+Two drivers run the step. With a consumer, :func:`enumerate_rows` is a
+depth-first recursion over it that emits every row. Without one, no row
+is visited: a dynamic programme merges the prefixes that share a key and
+runs the step once per key, which gives the same counters in time that
+grows with the number of keys, not of rows. The limiting commands check
+their row count and print the pruning counters from it. The walk serves
+the row stream of ``limit --emit-rows`` and the tests, as the row-by-row
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 RowSink = Callable[[tuple[int, ...]], None]
+Key = tuple[int, int, int]
 
 
 @dataclass
@@ -76,6 +77,56 @@ def _divisor_masks(k: int) -> tuple[int, list[int]]:
     return usable, div_of
 
 
+def _descend(
+    k: int,
+    j: int,
+    key: Key,
+    keep: int,
+    div_of: list[int],
+    stats: TableStats,
+    count: int,
+) -> Iterator[tuple[int, Key]]:
+    """Classify position j after ``count`` prefixes with ``key``; yield the children.
+
+    A key is (achievable sums, usable divisors dividing every part,
+    running size while no position u has a running size below u, else
+    -1). The step tries m = floor((k-1)/j) down to 0, adds ``count`` to
+    the counters of each try, and yields (m, child key) for the accepted
+    m and every smaller m, with the child's achievable sums ANDed with
+    ``keep``.
+    """
+    reach, compat, size = key
+    kbit = 1 << k
+    full = (1 << (k + 1)) - 1
+    ub = position_bound(k, j)
+    ladder = [reach]  # ladder[m]: achievable sums after m parts j
+    for _ in range(ub):
+        prev = ladder[-1]
+        ladder.append(prev | (prev << j) & full)
+    div = div_of[j]
+    for top in range(ub, -1, -1):
+        stats.partials_considered += count
+        if size >= 0 and size + j * top >= k:
+            # sizes 0..size+j*top all achievable, k among them: not k-free
+            stats.pruned_universal += count
+            continue
+        if compat & div if top else compat:
+            stats.pruned_divisibility += count
+            break
+        stats.full_tests += count
+        if not ladder[top] & kbit:
+            break
+    else:
+        raise AssertionError("m=0 must keep a k-free prefix k-free")
+    for m in range(top, -1, -1):
+        sz = size + j * m
+        yield m, (
+            ladder[m] & keep,
+            compat & div if m else compat,
+            sz if size >= 0 and sz >= j else -1,
+        )
+
+
 def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
     """Deliver every k-free row exactly once, in decreasing lexicographic order.
 
@@ -88,136 +139,44 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
     if consumer is None:
         return _count_rows(k)
     stats = TableStats()
-    if k == 1:
-        consumer(())
-        stats.rows_emitted = 1
-        return stats
-
-    length = k - 1
-    kbit = 1 << k
-    full = (1 << (k + 1)) - 1
-    bounds = [position_bound(k, j) for j in range(1, k)]
     usable_d, div_of = _divisor_masks(k)
+    full = (1 << (k + 1)) - 1
+    row: list[int] = []
 
-    ms: list[int] = []
-    # per-depth prefix state, index = prefix length
-    ladders: list[list[int]] = [[1]]  # ladders[i][m]: achievability of ms[:i-1]+(m,)
-    compat = [usable_d]  # usable divisors still dividing every part size present
-    alive = [True]  # no prefix position u has running size < u
-    size = [0]
+    def walk(j: int, key: Key) -> None:
+        if j == k:
+            consumer(tuple(row))
+            stats.rows_emitted += 1
+            return
+        for m, child in _descend(k, j, key, full, div_of, stats, 1):
+            row.append(m)
+            walk(j + 1, child)
+            row.pop()
 
-    def push_level(j: int, ub: int) -> list[int]:
-        base = ladders[j - 1][ms[j - 2]] if j > 1 else 1
-        ladder = [base]
-        for _ in range(ub):
-            prev = ladder[-1]
-            ladder.append(prev | (prev << j) & full)
-        ladders.append(ladder)
-        return ladder
-
-    def descend(j: int, hi: int, lo: int, ladder: list[int]) -> bool:
-        """Try m = hi..lo at position j; push the first k-free one."""
-        pre_alive = alive[j - 1]
-        pre_size = size[j - 1]
-        pre_compat = compat[j - 1]
-        for m in range(hi, lo - 1, -1):
-            stats.partials_considered += 1
-            sz = pre_size + j * m
-            if pre_alive and sz >= k:
-                # sizes 0..sz all achievable, k among them: not k-free
-                stats.pruned_universal += 1
-                continue
-            c = pre_compat & div_of[j] if m else pre_compat
-            if c:
-                stats.pruned_divisibility += 1
-            else:
-                stats.full_tests += 1
-                if ladder[m] & kbit:
-                    continue
-            ms.append(m)
-            compat.append(c)
-            alive.append(pre_alive and sz >= j)
-            size.append(sz)
-            return True
-        return False
-
-    while True:
-        depth = len(ms)
-        if depth < length:
-            j = depth + 1
-            ub = bounds[depth]
-            if not descend(j, ub, 0, push_level(j, ub)):
-                raise AssertionError("m=0 must keep a k-free prefix k-free")
-            continue
-        consumer(tuple(ms))
-        stats.rows_emitted += 1
-        # backtrack: strip trailing zeros, decrement the last nonzero
-        while ms and ms[-1] == 0:
-            ms.pop()
-            ladders.pop()
-            compat.pop()
-            alive.pop()
-            size.pop()
-        if not ms:
-            return stats
-        j = len(ms)
-        m = ms[-1] - 1
-        ms[-1] = m
-        sz = size[j - 1] + j * m
-        size[j] = sz
-        alive[j] = alive[j - 1] and sz >= j
-        compat[j] = compat[j - 1] & div_of[j] if m else compat[j - 1]
+    walk(1, (1, usable_d, 0))
+    return stats
 
 
 def _count_rows(k: int) -> TableStats:
     """The walk's counters, from a dynamic programme over row prefixes.
 
-    The walk calls ``descend`` once on every k-free prefix, and what
-    ``descend`` counts and accepts depends only on the prefix's key: its
-    achievable sums, the usable divisors dividing all its parts, and its
-    running size while it is alive (-1 after). So the programme keeps the
-    number of prefixes per key and replays ``descend`` once per key,
-    weighting each counter with that number. After position j, the full
-    tests of later positions j' read only bits k - i*j' (i >= 1) of the
-    achievable sums, all below k - j, so the higher bits are dropped and
-    more prefixes share a key.
+    The walk calls :func:`_descend` once on every k-free prefix, and what
+    the step counts and yields depends only on the prefix's key. So the
+    programme keeps the number of prefixes per key and runs the step once
+    per key, weighting each counter with that number. After position j,
+    the full tests of later positions j' read only bits k - i*j' (i >= 1)
+    of the achievable sums, all below k - j, so the higher bits are
+    dropped and more prefixes share a key.
     """
     stats = TableStats()
-    kbit = 1 << k
-    full = (1 << (k + 1)) - 1
     usable_d, div_of = _divisor_masks(k)
-    # (achievable sums, usable divisors of every part, size or -1) -> prefixes
     states = {(1, usable_d, 0): 1}
     for j in range(1, k):
-        ub = position_bound(k, j)
         keep = (1 << (k - j)) - 1
-        div = div_of[j]
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (reach, compat, size), count in states.items():
-            ladder = [reach]
-            for _ in range(ub):
-                prev = ladder[-1]
-                ladder.append(prev | (prev << j) & full)
-            for top in range(ub, -1, -1):
-                stats.partials_considered += count
-                if size >= 0 and size + j * top >= k:
-                    stats.pruned_universal += count
-                    continue
-                if compat & div if top else compat:
-                    stats.pruned_divisibility += count
-                    break
-                stats.full_tests += count
-                if not ladder[top] & kbit:
-                    break
-            # the walk goes on from top, top-1, ..., 0 without retesting
-            for m in range(top, -1, -1):
-                sz = size + j * m
-                key = (
-                    ladder[m] & keep,
-                    compat & div if m else compat,
-                    sz if size >= 0 and sz >= j else -1,
-                )
-                nxt[key] = nxt.get(key, 0) + count
+        nxt: dict[Key, int] = {}
+        for key, count in states.items():
+            for _, child in _descend(k, j, key, keep, div_of, stats, count):
+                nxt[child] = nxt.get(child, 0) + count
         states = nxt
     stats.rows_emitted = sum(states.values())
     return stats

@@ -50,6 +50,22 @@ def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
     assert counted.output == walked.output
 
 
+def test_limit_k22_fifty_digits(runner):
+    # the benchmark's limit_deep output, pinned line for line
+    result = runner.invoke(main, ["limit", "--k", "22", "--digits", "50"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "k = 22",
+        "i_inf = 0.31449861822571299565946564534400799367723201146434",
+        "p_inf = 0.68550138177428700434053435465599200632276798853566",
+        "rows = 216928",
+        "partials_considered = 508012",
+        "pruned_universal = 39280",
+        "pruned_divisibility = 3150",
+        "full_tests = 465582",
+    ]
+
+
 def test_limit_table_k6(runner):
     result = runner.invoke(main, ["limit-table", "--k-max", "6"])
     assert result.exit_code == 0

@@ -134,6 +134,15 @@ def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival)
         limits.limiting_survival_checked(7)
 
 
+@pytest.mark.parametrize("k", range(1, 23))
+def test_complement_equals_evaluated_complement(k, survival):
+    # 1 - S evaluated term by term is the oracle for the complement
+    poly = survival.poly(k)
+    for digits in (1, 8, 50):
+        surv = evaluate(poly, digits)
+        assert surv.complement() == evaluate(ExpPoly.one() - poly, digits)
+
+
 def test_limiting_fix_probability_entry_point():
     assert limiting_fix_probability(2, 8).value == "0.55373968"
 

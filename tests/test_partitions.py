@@ -10,8 +10,6 @@ from ksetfix.partitions import (
     centralizer_size,
     divisibility_free,
     is_k_free,
-    normalize,
-    partition_size,
     subpartition_sums,
     universality_index,
 )
@@ -78,13 +76,6 @@ def test_centralizer_counts_transpositions_in_sym4():
             transpositions += 1
     assert transpositions == 6
     assert 24 // centralizer_size((2, 1)) == 6
-
-
-def test_normalize_and_size():
-    assert normalize((1, 0, 2, 0, 0)) == (1, 0, 2)
-    assert normalize(()) == ()
-    assert partition_size((1, 0, 2)) == 7
-    assert partition_size(()) == 0
 
 
 def test_free_matches_brute_force_on_all_partitions(partition_corpus):

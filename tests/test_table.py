@@ -12,6 +12,8 @@ from ksetfix.partitions import (
 )
 from ksetfix.table import (
     TableStats,
+    _descend,
+    _divisor_masks,
     enumerate_rows,
     position_bound,
     rows_count,
@@ -112,7 +114,7 @@ def test_rows_strictly_decreasing_lex(k):
     assert all(a > b for a, b in zip(rows, rows[1:]))
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, 15))
 def test_matches_reference_walk_and_counter_split(k):
     rows, stats = collect(k)
     ref_rows, ref_stats = reference_enumerate(k)
@@ -140,6 +142,22 @@ def test_counter_identity():
 def test_count_path_matches_walk(k):
     # without a consumer the counters come from the prefix-state DP
     assert enumerate_rows(k) == enumerate_rows(k, lambda r: None)
+
+
+def test_count_path_k30_counters():
+    # the row count agrees with LIMIT_TABLE_8DP; k = 29 is left unpinned
+    # while its reference row count is in question
+    assert enumerate_rows(30) == TableStats(12022223, 19500808, 404452, 2925, 19093431)
+    assert LIMIT_TABLE_8DP[30][1] == 12022223
+
+
+def test_descend_rejects_a_prefix_that_is_not_k_free():
+    # achievable sums already hold k, so not even m = 0 is accepted
+    k = 4
+    usable_d, div_of = _divisor_masks(k)
+    key = (1 | 1 << k, 0, -1)
+    with pytest.raises(AssertionError, match="m=0"):
+        list(_descend(k, 1, key, (1 << (k + 1)) - 1, div_of, TableStats(), 1))
 
 
 def test_deterministic_repeat_runs():
