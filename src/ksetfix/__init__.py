@@ -13,6 +13,11 @@ The package computes, in exact arithmetic throughout:
 * the finite-degree probabilities for every degree up to a bound at
   once, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.
+
+The package ships the engines only. The slow paths that the tests use as
+references (row-by-row weights, products of exponential polynomials,
+per-term ``Fraction`` exponents, centralizer orders) live with the tests,
+in ``tests/reference_data.py``.
 """
 
 from .exppoly import ExpPoly
@@ -32,17 +37,9 @@ from .limits import (
     limiting_fix_probability,
     limiting_survival,
     limiting_survival_with_stats,
-    row_contribution,
-    row_factor,
 )
 from .montecarlo import McEstimate, sample_finite_fix, sample_limit_survival
-from .partitions import (
-    centralizer_size,
-    divisibility_free,
-    is_k_free,
-    subpartition_sums,
-    universality_index,
-)
+from .partitions import divisibility_free, is_k_free, universality_index
 from .table import TableStats, enumerate_rows, rows_count
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "HighPrecisionDecimal",
     "McEstimate",
     "TableStats",
-    "centralizer_size",
     "decay_exponent",
     "divisibility_free",
     "efg_ratio",
@@ -66,12 +62,9 @@ __all__ = [
     "limiting_fix_probability",
     "limiting_survival",
     "limiting_survival_with_stats",
-    "row_contribution",
-    "row_factor",
     "rows_count",
     "sample_finite_fix",
     "sample_limit_survival",
-    "subpartition_sums",
     "universality_index",
 ]
 

@@ -2,9 +2,10 @@
 
 A permutation of degree n fixes some k-subset exactly when its cycle
 type, read as a partition of n, has a subpartition of size k (the fixed
-subset is a union of cycles). The probability of cycle type t is
-1/centralizer_size(t), so the fixing probability is a sum of exact unit
-fractions over the partitions of n, with denominator dividing n!.
+subset is a union of cycles). The probability of cycle type t is 1/z(t),
+with z(t) = prod_j j^{m_j} m_j! the order of its centralizer, so the
+fixing probability is a sum of exact unit fractions over the partitions
+of n, with denominator dividing n!.
 
 Partitions are never built. Whether a cycle type reaches every k <= cap
 depends only on the achievable-sum mask of its parts up to cap, so one

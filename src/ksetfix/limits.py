@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .exppoly import ExpPoly, exponent_fraction
+from .exppoly import ExpPoly
 from .precision import (
     exp_neg_fraction,
     exp_small,
@@ -68,11 +68,14 @@ _EVAL_GUARD = 12
 
 @dataclass(frozen=True)
 class HighPrecisionDecimal:
-    """A decimal string with certified absolute error below 10**-digits."""
+    """A decimal with certified absolute error below 10**-digits."""
 
     digits: int
-    value: str
-    scaled: int  # round(value * 10**digits), half to even
+    scaled: int  # the value times 10**digits, rounded half to even
+
+    @property
+    def value(self) -> str:
+        return format_scaled(self.scaled, self.digits)
 
     def __str__(self) -> str:
         return self.value
@@ -86,43 +89,7 @@ class HighPrecisionDecimal:
         The value is x rounded half to even at scale 10**digits, which is
         even, so rounding 1 - x the same way gives this same string.
         """
-        scaled = 10**self.digits - self.scaled
-        return HighPrecisionDecimal(
-            self.digits, format_scaled(scaled, self.digits), scaled
-        )
-
-
-def capped_tail_weight(k: int, j: int) -> Fraction:
-    """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
-    return sum(
-        (Fraction(1, j**i * factorial(i)) for i in range(k // j)), Fraction(0)
-    )
-
-
-def row_factor(k: int, j: int, m: int) -> ExpPoly:
-    """The weight x_j of multiplicity m at position j of a k-free row."""
-    if not 1 <= j <= k:
-        raise ValueError("need 1 <= j <= k")
-    cap = k // j
-    if not 0 <= m <= cap:
-        raise ValueError("multiplicity out of range for this position")
-    if m < cap:
-        return ExpPoly.exp_inv(j, Fraction(1, j**m * factorial(m)))
-    return ExpPoly.one() - ExpPoly.exp_inv(j, capped_tail_weight(k, j))
-
-
-def row_contribution(k: int, row) -> ExpPoly:
-    """Product of all position weights of a row, including the k-cycle factor.
-
-    The row has length k-1; position k always carries multiplicity 0 and
-    contributes the single factor e^{-1/k}.
-    """
-    if len(row) != k - 1:
-        raise ValueError("row must have length k-1")
-    poly = ExpPoly.exp_inv(k)
-    for j, m in enumerate(row, start=1):
-        poly = poly * row_factor(k, j, m)
-    return poly
+        return HighPrecisionDecimal(self.digits, 10**self.digits - self.scaled)
 
 
 def limiting_survival(k: int) -> ExpPoly:
@@ -147,7 +114,7 @@ def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
         ebit = 1 << (j - 1)
         scale = [w // (j**m * factorial(m)) for m in range(b + 1)]
         capped = k % j != 0  # then m = b reaches floor(k/j)
-        tail = sum(scale[:b])  # w * capped_tail_weight(k, j)
+        tail = sum(scale[:b])  # w * sum_{i<floor(k/j)} 1/(j^i i!)
         nxt: dict[int, dict[int, int]] = {}
         nxt_rows: dict[int, int] = {}
         for reach, nums in states.items():
@@ -213,34 +180,55 @@ def limiting_survival_checked(
 
 
 def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
-    """poly evaluated at scale 10**prec; error under (T + 2*sum|c| + 2) ulp."""
+    """poly evaluated at scale 10**prec; error under (T + 2*sum|c| + 2) ulp.
+
+    Every exponent sum_{j in S} 1/j is taken as an integer numerator over
+    the one denominator lcm(1..w), with w the largest j in any term. The
+    floor divisions of :func:`~ksetfix.precision.exp_neg_fraction` give
+    the same integers for (g*num, g*den) as for (num, den), so this is
+    the value with every exponent in lowest terms.
+    """
+    w = max(poly.terms, default=0).bit_length()
+    den = lcm(*range(1, w + 1))
+    shares = [den // j for j in range(1, w + 1)]
     total = 0
     for mask, c in poly.terms.items():
-        q = exponent_fraction(mask)
-        e = exp_neg_fraction(q.numerator, q.denominator, prec)
+        num = sum(shares[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        e = exp_neg_fraction(num, den, prec)
         total += c.numerator * e // c.denominator
     return total
 
 
-def evaluate(poly: ExpPoly, digits: int) -> HighPrecisionDecimal:
-    """Evaluate an ExpPoly to ``digits`` decimal places, certified.
+def _working_prec(poly: ExpPoly, digits: int) -> int:
+    """The checked working precision for evaluating poly to ``digits`` places.
 
-    Working precision adds guard digits scaling with the term count and
-    the coefficient mass, so the accumulated error (series truncation,
-    one reciprocal and one floor division per term) stays strictly below
-    half an output ulp; the half-even output rounding then keeps the
-    printed string within 10**-digits of the true value.
+    Guard digits scale with the term count and the coefficient mass, so
+    the error of :func:`evaluate_scaled` (series truncation, one
+    reciprocal and one floor division per term) stays strictly below half
+    an output ulp. The check raises, also under ``python -O``.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     mass = int(poly.abs_coefficient_sum()) + 1
     nterms = len(poly)
     prec = digits + _EVAL_GUARD + len(str(nterms + 1)) + len(str(mass))
     budget = nterms + 2 * mass + 2
     if not 2 * budget < 10 ** (prec - digits):
         raise AssertionError("evaluation error budget exceeds half an output ulp")
-    scaled = round_scaled(evaluate_scaled(poly, prec), prec, digits)
-    return HighPrecisionDecimal(digits, format_scaled(scaled, digits), scaled)
+    return prec
+
+
+def evaluate(poly: ExpPoly, digits: int) -> HighPrecisionDecimal:
+    """Evaluate an ExpPoly to ``digits`` decimal places, certified.
+
+    At the working precision of :func:`_working_prec` the accumulated
+    error stays below half an output ulp; the half-even output rounding
+    then keeps the printed string within 10**-digits of the true value.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    prec = _working_prec(poly, digits)
+    return HighPrecisionDecimal(
+        digits, round_scaled(evaluate_scaled(poly, prec), prec, digits)
+    )
 
 
 def limiting_fix_probability(k: int, digits: int) -> HighPrecisionDecimal:
@@ -257,32 +245,41 @@ def decay_exponent_scaled(prec: int) -> int:
 
 
 def decay_exponent(digits: int) -> HighPrecisionDecimal:
-    """The comparison-curve exponent (about 0.08607) to ``digits`` places."""
+    """The comparison-curve exponent (about 0.08607) to ``digits`` places.
+
+    This is the exponent delta = 1 - (1 + ln ln 2)/ln 2 of Eberhard, Ford
+    and Green, "Permutations fixing a k-set" (IMRN 2016), who show that
+    i(k) is of order k^-delta (ln k)^-3/2.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     prec = digits + _EVAL_GUARD
-    scaled = round_scaled(decay_exponent_scaled(prec), prec, digits)
-    return HighPrecisionDecimal(digits, format_scaled(scaled, digits), scaled)
+    return HighPrecisionDecimal(
+        digits, round_scaled(decay_exponent_scaled(prec), prec, digits)
+    )
 
 
 def efg_ratio(k: int, digits: int) -> HighPrecisionDecimal:
     """i(k) / (k^-d (ln k)^-3/2) with d the decay exponent, to ``digits`` places.
 
-    All factors are order one and carry at most a few ulp of error at the
-    working precision, which exceeds the output precision by enough guard
-    digits to absorb them.
+    The comparison curve is the order of i(k) found by Eberhard, Ford and
+    Green, "Permutations fixing a k-set" (IMRN 2016). The working
+    precision is the checked one of :func:`evaluate` for the survival
+    polynomial plus 4 digits: the other factors carry at most a few ulp
+    each, and k^d (ln k)^3/2 amplifies the survival's error by less than
+    10**3 for every k below 10**9.
     """
     if k < 2:
         raise ValueError("the ratio needs k >= 2 (positive ln k)")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    prec = digits + _EVAL_GUARD + 4
+    survival = limiting_survival(k)
+    prec = _working_prec(survival, digits) + 4
     s = 10**prec
-    fix = s - evaluate_scaled(limiting_survival(k), prec)
+    fix = s - evaluate_scaled(survival, prec)
     lnk = ln_int(k, prec)
     d = decay_exponent_scaled(prec)
     k_pow = exp_small(d * lnk // s, prec)
     lnk_pow = pow_three_halves(lnk, prec)
     value = fix * k_pow // s * lnk_pow // s
-    scaled = round_scaled(value, prec, digits)
-    return HighPrecisionDecimal(digits, format_scaled(scaled, digits), scaled)
+    return HighPrecisionDecimal(digits, round_scaled(value, prec, digits))

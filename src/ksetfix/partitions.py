@@ -10,12 +10,13 @@ subpartition has size exactly k.
 The k-free decision is layered: a cheap prefix-sum criterion certifies
 that every size up to some threshold is achievable, a divisibility
 criterion certifies k-freeness outright for some inputs, and a bounded
-knapsack over a bit vector settles the rest.
+knapsack over a bit vector settles the rest. At run time only the Monte
+Carlo samplers call these tests, once per sample; the row table and the
+finite engine carry achievable-sum masks of their own.
 """
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Sequence
 
 Multiplicities = Sequence[int]
@@ -74,14 +75,6 @@ def achievable_sizes_mask(ms: Multiplicities, cap: int) -> int:
     return bits
 
 
-def subpartition_sums(ms: Multiplicities, cap: int) -> set[int]:
-    """All achievable subpartition sizes in {0..cap}, as a set."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    bits = achievable_sizes_mask(ms, cap)
-    return {s for s in range(cap + 1) if bits >> s & 1}
-
-
 def is_k_free(k: int, ms: Multiplicities) -> bool:
     """True iff no subpartition of ms has size exactly k.
 
@@ -98,16 +91,3 @@ def is_k_free(k: int, ms: Multiplicities) -> bool:
         return True
     return not achievable_sizes_mask(ms, k) >> k & 1
 
-
-def centralizer_size(ms: Multiplicities) -> int:
-    """Centralizer order prod_j j^m_j * m_j! of a permutation of cycle type ms.
-
-    n!/centralizer_size(ms) counts the permutations of Sym_n with this
-    cycle type, so 1/centralizer_size is the probability that a uniform
-    permutation has it.
-    """
-    z = 1
-    for j, m in enumerate(ms, start=1):
-        if m:
-            z *= j**m * factorial(m)
-    return z

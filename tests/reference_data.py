@@ -5,6 +5,13 @@ regression targets; the oracle functions recompute quantities by routes
 deliberately different from the library's (direct enumeration, classical
 recurrences, vectorized orbit tests, and the finite engine's former
 one-knapsack-per-partition pass).
+
+The slow paths the package no longer ships live here too: the limiting
+engine's row-by-row weights, the exponential-polynomial algebra they
+need, centralizer orders, and evaluation with every exponent as a
+``Fraction``. Functions that need ksetfix import it when called, because
+the benchmark's tests load this module's constants without the package
+on the path.
 """
 
 from __future__ import annotations
@@ -104,6 +111,30 @@ def brute_subpartition_sums(ms) -> set[int]:
     return sums
 
 
+def subpartition_sums(ms, cap: int) -> set[int]:
+    """All achievable subpartition sizes in {0..cap}, read off the knapsack mask."""
+    from ksetfix.partitions import achievable_sizes_mask
+
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    bits = achievable_sizes_mask(ms, cap)
+    return {s for s in range(cap + 1) if bits >> s & 1}
+
+
+def centralizer_size(ms) -> int:
+    """Centralizer order prod_j j^m_j * m_j! of a permutation of cycle type ms.
+
+    n!/centralizer_size(ms) counts the permutations of Sym_n with this
+    cycle type, so 1/centralizer_size is the probability that a uniform
+    permutation has it.
+    """
+    z = 1
+    for j, m in enumerate(ms, start=1):
+        if m:
+            z *= j**m * factorial(m)
+    return z
+
+
 def brute_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as multiplicity tuples, by simple recursion."""
 
@@ -167,8 +198,6 @@ def partition_fixing_counts(n: int, k_cap: int) -> list[int]:
     per partition (skipped for partitions universal past k_cap), adding
     the class size n!/z to every k it reaches. counts[0] is n!.
     """
-    # imported here: the benchmark's tests load this module's constants
-    # without the package on the path
     from ksetfix.partitions import achievable_sizes_mask, universality_index
 
     nf = factorial(n)
@@ -176,11 +205,7 @@ def partition_fixing_counts(n: int, k_cap: int) -> list[int]:
     counts[0] = nf
     universal_weight = 0
     for ms in partitions_of(n):
-        z = 1
-        for j, m in enumerate(ms, start=1):
-            if m:
-                z *= j**m * factorial(m)
-        w = nf // z
+        w = nf // centralizer_size(ms)
         if universality_index(ms) >= k_cap:
             universal_weight += w
             continue
@@ -234,3 +259,128 @@ def brute_fix_fractions(n: int) -> dict[int, Fraction]:
                 img |= bit_images[:, i]
         hits[mask.bit_count()] |= img == mask
     return {k: Fraction(int(hits[k].sum()), nf) for k in range(1, n + 1)}
+
+
+# --- exponential-polynomial algebra and the row-by-row limiting sum ---
+
+
+def exponent_fraction(mask: int) -> Fraction:
+    """The exact exponent sum_{j in S} 1/j for a bitmask S."""
+    q = Fraction(0)
+    j = 1
+    while mask:
+        if mask & 1:
+            q += Fraction(1, j)
+        mask >>= 1
+        j += 1
+    return q
+
+
+def fraction_evaluate_scaled(poly, prec: int) -> int:
+    """poly at scale 10**prec, with each term's exponent as a reduced Fraction.
+
+    The evaluation oracle: the same series and floor divisions as
+    ``limits.evaluate_scaled``, which takes every exponent over one
+    common denominator instead.
+    """
+    from ksetfix.precision import exp_neg_fraction
+
+    total = 0
+    for mask, c in poly.terms.items():
+        q = exponent_fraction(mask)
+        e = exp_neg_fraction(q.numerator, q.denominator, prec)
+        total += c.numerator * e // c.denominator
+    return total
+
+
+def exp_inv(j: int, coeff=1):
+    """The single term coeff * e^{-1/j}."""
+    from ksetfix.exppoly import ExpPoly
+
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    return ExpPoly({1 << (j - 1): coeff})
+
+
+def poly_one():
+    """The constant polynomial 1."""
+    from ksetfix.exppoly import ExpPoly
+
+    return ExpPoly({0: 1})
+
+
+def poly_scaled(poly, factor):
+    """Every coefficient of poly times a rational factor."""
+    from ksetfix.exppoly import ExpPoly
+
+    factor = Fraction(factor)
+    return ExpPoly({mask: c * factor for mask, c in poly.terms.items()})
+
+
+def poly_sub(a, b):
+    """a - b, termwise."""
+    return a + poly_scaled(b, -1)
+
+
+def poly_mul(a, b):
+    """a * b; the operands' exponent sets must be disjoint term by term.
+
+    Multiplying exponentials unions their exponent sets, which is exact
+    only when no 1/j would appear twice in one exponent.
+    """
+    from ksetfix.exppoly import ExpPoly
+
+    out: dict[int, Fraction] = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if ma & mb:
+                raise ValueError(
+                    "product would repeat an exponent 1/j; operand "
+                    "exponent sets must be disjoint"
+                )
+            out[ma | mb] = out.get(ma | mb, 0) + ca * cb
+    return ExpPoly(out)
+
+
+def coefficient_sum(poly) -> Fraction:
+    """Value with every exponential replaced by 1 (a pure rational)."""
+    return sum(poly.terms.values(), Fraction(0))
+
+
+def capped_tail_weight(k: int, j: int) -> Fraction:
+    """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
+    return sum(
+        (Fraction(1, j**i * factorial(i)) for i in range(k // j)), Fraction(0)
+    )
+
+
+def row_factor(k: int, j: int, m: int):
+    """The weight x_j of multiplicity m at position j of a k-free row.
+
+    x_j = e^{-1/j} / (j^m m!) below the cap floor(k/j), and at the cap
+    1 - e^{-1/j} * capped_tail_weight(k, j), which charges the row with
+    every tail multiplicity at once.
+    """
+    if not 1 <= j <= k:
+        raise ValueError("need 1 <= j <= k")
+    cap = k // j
+    if not 0 <= m <= cap:
+        raise ValueError("multiplicity out of range for this position")
+    if m < cap:
+        return exp_inv(j, Fraction(1, j**m * factorial(m)))
+    return poly_sub(poly_one(), exp_inv(j, capped_tail_weight(k, j)))
+
+
+def row_contribution(k: int, row):
+    """Product of all position weights of a row, including the k-cycle factor.
+
+    The row has length k-1; position k always carries multiplicity 0 and
+    contributes the single factor e^{-1/k}. Summed over the k-free rows,
+    this is the limiting survival polynomial.
+    """
+    if len(row) != k - 1:
+        raise ValueError("row must have length k-1")
+    poly = exp_inv(k)
+    for j, m in enumerate(row, start=1):
+        poly = poly_mul(poly, row_factor(k, j, m))
+    return poly

@@ -20,9 +20,9 @@ from ksetfix.finite import (
     fixing_counts,
     format_probability,
 )
-from ksetfix.limits import evaluate, row_contribution
+from ksetfix.limits import evaluate
 from ksetfix.montecarlo import sample_finite_fix, sample_limit_survival
-from ksetfix.partitions import centralizer_size, is_k_free, universality_index
+from ksetfix.partitions import is_k_free, universality_index
 from ksetfix.table import enumerate_rows
 
 from reference_data import (
@@ -32,7 +32,14 @@ from reference_data import (
     brute_fix_fractions,
     brute_partitions,
     brute_subpartition_sums,
+    centralizer_size,
+    exp_inv,
     load_golden_finite,
+    poly_mul,
+    poly_one,
+    poly_scaled,
+    poly_sub,
+    row_contribution,
 )
 
 
@@ -73,7 +80,7 @@ def test_criterion_02_limit_values_medium_tier():
 def test_criterion_03_limit_values_long_tier(survival):
     failures = []
     for k in range(21, 31):
-        fix = evaluate(ExpPoly.one() - survival.poly(k), 8)
+        fix = evaluate(poly_sub(poly_one(), survival.poly(k)), 8)
         want_i, want_rows = LIMIT_TABLE_8DP[k]
         if fix.value != want_i:
             failures.append((k, "i_inf", fix.value, want_i))
@@ -86,10 +93,9 @@ def test_criterion_04_k4_closed_form(survival):
     failures = []
     e74 = ExpPoly({0b1011: 1})
     e2512 = ExpPoly({0b1111: 1})
-    closed = (
-        Fraction(3, 2) * ((ExpPoly.one() - ExpPoly.exp_inv(3)) * e74)
-        + Fraction(11, 3) * e2512
-    )
+    closed = poly_scaled(
+        poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)
+    ) + poly_scaled(e2512, Fraction(11, 3))
     table_value = evaluate(survival.poly(4), 12)
     closed_value = evaluate(closed, 12)
     if table_value.value != closed_value.value:
@@ -161,7 +167,7 @@ def check_monotone(k_hi: int, survival) -> list:
     failures = []
     prev = None
     for k in range(1, k_hi + 2):
-        fix = evaluate(ExpPoly.one() - survival.poly(k), 20).scaled
+        fix = evaluate(poly_sub(poly_one(), survival.poly(k)), 20).scaled
         # certified error is far below 4 ulp at 20 places; require a gap
         if prev is not None and not prev - fix > 4:
             failures.append((k - 1, k, prev, fix))

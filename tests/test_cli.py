@@ -187,9 +187,8 @@ def test_internal_invariant_maps_to_exit_three(monkeypatch):
     assert excinfo.value.code == 3
 
 
-def test_invariant_checks_survive_optimize_flag():
-    # python -O strips assert statements; the certificate check must still
-    # fire, and the CLI must still map it to exit code 3
+def run_with_broken_guard(*args):
+    """Run the CLI under python -O with evaluate's guard digits negative."""
     import os
     import subprocess
     import sys
@@ -201,15 +200,28 @@ def test_invariant_checks_survive_optimize_flag():
         "import sys\n"
         "from ksetfix import cli, limits\n"
         "limits._EVAL_GUARD = -10\n"
-        "sys.argv = ['ksetfix', 'limit', '--k', '3']\n"
+        f"sys.argv = ['ksetfix', *{list(args)!r}]\n"
         "cli.run()\n"
     )
     src = str(Path(ksetfix.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # python -O strips assert statements; the certificate check must still
+    # fire, and the CLI must still map it to exit code 3
+    proc = run_with_broken_guard("limit", "--k", "3")
+    assert proc.returncode == 3, proc.stderr
+    assert "error budget" in proc.stderr
+
+
+def test_ratio_budget_check_survives_optimize_flag():
+    # efg_ratio takes its working precision from the same checked rule
+    proc = run_with_broken_guard("ratio", "--k-max", "3")
     assert proc.returncode == 3, proc.stderr
     assert "error budget" in proc.stderr
 
@@ -217,14 +229,15 @@ def test_invariant_checks_survive_optimize_flag():
 def test_csv_digits_consistent_with_higher_precision(runner):
     # D-place CSV values must equal the (D+10)-place library values
     # rounded back to D places
-    from ksetfix.exppoly import ExpPoly
     from ksetfix.limits import evaluate, limiting_survival
     from ksetfix.precision import round_scaled
+
+    from reference_data import poly_one, poly_sub
 
     result = runner.invoke(main, ["limit-table", "--k-max", "5", "--digits", "8"])
     for line in result.output.splitlines()[1:]:
         k, value, _ = line.split(",")
-        fine = evaluate(ExpPoly.one() - limiting_survival(int(k)), 18)
+        fine = evaluate(poly_sub(poly_one(), limiting_survival(int(k))), 18)
         assert round_scaled(fine.scaled, 18, 8) == int(value.replace(".", ""))
 
 

@@ -7,14 +7,11 @@ import pytest
 from ksetfix import limits
 from ksetfix.exppoly import ExpPoly
 from ksetfix.limits import (
-    capped_tail_weight,
     decay_exponent,
     efg_ratio,
     evaluate,
     limiting_fix_probability,
     limiting_survival,
-    row_contribution,
-    row_factor,
 )
 from ksetfix.table import enumerate_rows
 
@@ -24,6 +21,16 @@ from reference_data import (
     LIMIT_TABLE_8DP,
     RATIO_K2_10DP,
     RATIO_K4_10DP,
+    capped_tail_weight,
+    coefficient_sum,
+    exp_inv,
+    fraction_evaluate_scaled,
+    poly_mul,
+    poly_one,
+    poly_scaled,
+    poly_sub,
+    row_contribution,
+    row_factor,
 )
 
 E1, E2, E3, E4 = 1, 2, 4, 8  # bitmasks of e^{-1/1} .. e^{-1/4}
@@ -86,10 +93,9 @@ def test_k4_survival_equals_closed_form():
     # (3/2)(1 - e^{-1/3}) e^{-7/4} + (11/3) e^{-25/12}, entered symbolically
     e74 = ExpPoly({E1 | E2 | E4: 1})
     e2512 = ExpPoly({E1 | E2 | E3 | E4: 1})
-    closed = (
-        Fraction(3, 2) * ((ExpPoly.one() - ExpPoly.exp_inv(3)) * e74)
-        + Fraction(11, 3) * e2512
-    )
+    closed = poly_scaled(
+        poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)
+    ) + poly_scaled(e2512, Fraction(11, 3))
     assert limiting_survival(4) == closed
     assert evaluate(closed, 6).value == "0.530442"
 
@@ -100,7 +106,7 @@ def test_grouped_accumulation_matches_row_by_row(k, survival):
     # of row_contribution over the walked rows is the oracle
     rows = []
     enumerate_rows(k, rows.append)
-    direct = ExpPoly.zero()
+    direct = ExpPoly()
     for r in rows:
         direct = direct + row_contribution(k, r)
     assert survival.poly(k) == direct
@@ -108,7 +114,7 @@ def test_grouped_accumulation_matches_row_by_row(k, survival):
 
 @pytest.mark.parametrize("k", range(1, 31))
 def test_limit_fix_probability_eight_places(k, survival):
-    fix = evaluate(ExpPoly.one() - survival.poly(k), 8)
+    fix = evaluate(poly_sub(poly_one(), survival.poly(k)), 8)
     assert fix.value == LIMIT_TABLE_8DP[k][0]
 
 
@@ -140,7 +146,19 @@ def test_complement_equals_evaluated_complement(k, survival):
     poly = survival.poly(k)
     for digits in (1, 8, 50):
         surv = evaluate(poly, digits)
-        assert surv.complement() == evaluate(ExpPoly.one() - poly, digits)
+        assert surv.complement() == evaluate(poly_sub(poly_one(), poly), digits)
+
+
+@pytest.mark.parametrize("k", [
+    *range(1, 23),
+    *(pytest.param(k, marks=pytest.mark.longrun) for k in range(23, 31)),
+])
+def test_evaluate_scaled_equals_fraction_exponent_oracle(k, survival):
+    # exponents over one common denominator give the same integers as
+    # each exponent as a reduced Fraction
+    poly = survival.poly(k)
+    for prec in (21, 30, 70):
+        assert limits.evaluate_scaled(poly, prec) == fraction_evaluate_scaled(poly, prec)
 
 
 def test_limiting_fix_probability_entry_point():
@@ -168,7 +186,7 @@ def test_coefficient_sum_identity_per_row(k):
                 expected *= Fraction(1, j**m)
                 for i in range(2, m + 1):
                     expected /= i
-        assert row_contribution(k, row).coefficient_sum() == expected, row
+        assert coefficient_sum(row_contribution(k, row)) == expected, row
 
 
 def test_decay_exponent_values():

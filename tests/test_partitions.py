@@ -6,15 +6,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from ksetfix.partitions import (
-    centralizer_size,
-    divisibility_free,
-    is_k_free,
-    subpartition_sums,
-    universality_index,
-)
+from ksetfix.partitions import divisibility_free, is_k_free, universality_index
 
-from reference_data import brute_subpartition_sums
+from reference_data import (
+    brute_subpartition_sums,
+    centralizer_size,
+    subpartition_sums,
+)
 
 small_ms = st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=7)
 

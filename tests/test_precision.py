@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksetfix.exppoly import ExpPoly, exponent_fraction
+from ksetfix.exppoly import ExpPoly
 from ksetfix.limits import evaluate
 from ksetfix.precision import (
     exp_neg_fraction,
@@ -19,7 +19,14 @@ from ksetfix.precision import (
     round_scaled,
 )
 
-from reference_data import E_MINUS_1_30DP, LN_2_30DP
+from reference_data import (
+    E_MINUS_1_30DP,
+    LN_2_30DP,
+    exp_inv,
+    exponent_fraction,
+    poly_one,
+    poly_sub,
+)
 
 
 def as_scaled(decimal_string, digits):
@@ -99,13 +106,13 @@ def test_format_scaled():
 
 
 def test_evaluate_zero_polynomial_twenty_places():
-    out = evaluate(ExpPoly.zero(), 20)
+    out = evaluate(ExpPoly(), 20)
     assert out.value == "0.00000000000000000000"
     assert out.scaled == 0
 
 
 def test_evaluate_e_inverse_eight_places():
-    out = evaluate(ExpPoly.exp_inv(1), 8)
+    out = evaluate(exp_inv(1), 8)
     assert out.value == "0.36787944"
 
 
@@ -121,7 +128,7 @@ def test_evaluate_monotone_refinement():
 
 def test_evaluate_rejects_bad_digits():
     with pytest.raises(ValueError):
-        evaluate(ExpPoly.one(), 0)
+        evaluate(poly_one(), 0)
 
 
 # The decimal oracle: stdlib decimal at ORACLE_PREC significant digits,
@@ -189,6 +196,6 @@ def test_evaluate_certificate_against_decimal_oracle(poly, digits):
 @pytest.mark.parametrize("k", [4, 10, 16])
 def test_evaluate_survival_polynomials_against_decimal_oracle(k, survival):
     poly = survival.poly(k)
-    for p in (poly, ExpPoly.one() - poly):
+    for p in (poly, poly_sub(poly_one(), poly)):
         got = Decimal(evaluate(p, DIGITS).value)
         assert oracle(lambda: abs(got - oracle_poly(p))) < Decimal(10) ** -DIGITS

@@ -4,12 +4,7 @@ from itertools import product
 
 import pytest
 
-from ksetfix.partitions import (
-    divisibility_free,
-    is_k_free,
-    subpartition_sums,
-    universality_index,
-)
+from ksetfix.partitions import divisibility_free, is_k_free, universality_index
 from ksetfix.table import (
     TableStats,
     _descend,
@@ -19,7 +14,7 @@ from ksetfix.table import (
     rows_count,
 )
 
-from reference_data import LIMIT_TABLE_8DP
+from reference_data import LIMIT_TABLE_8DP, subpartition_sums
 
 
 def collect(k):
