@@ -1,37 +1,41 @@
 """Exact linear combinations of exponentials of negative harmonic sums.
 
-An :class:`ExpPoly` represents sum_S c_S * exp(-sum_{j in S} 1/j) where S
-ranges over finite sets of positive integers and every c_S is rational.
-Exponent sets are bitmasks with bit j-1 standing for j. Stored
-coefficients are never zero, making equality structural. The limiting
-dynamic programme builds its polynomial in one step from integer
-numerators, so the only arithmetic kept here is termwise addition;
+An :class:`ExpPoly` represents (1/den) * sum_S c_S * exp(-sum_{j in S} 1/j)
+where S ranges over finite sets of positive integers, every numerator c_S
+is an integer and den >= 1 is one shared denominator. Exponent sets are
+bitmasks with bit j-1 standing for j. Stored numerators are never zero
+and have no factor common to all of them and den, making equality
+structural. This is the form in which the limiting dynamic programme
+produces its polynomial, so no arithmetic is kept here;
 :func:`ksetfix.limits.evaluate` turns a polynomial into decimals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Mapping
-
-Rational = int | Fraction
 
 
 class ExpPoly:
-    """Immutable-by-convention map from exponent bitmask to coefficient."""
+    """Immutable-by-convention map from exponent bitmask to integer numerator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None, den: int = 1):
+        if den < 1:
+            raise ValueError("denominator must be >= 1")
+        clean: dict[int, int] = {}
         if terms:
             for mask, c in terms.items():
                 if mask < 0:
                     raise ValueError("exponent mask must be non-negative")
-                c = Fraction(c)
                 if c:
                     clean[mask] = c
+        g = gcd(den, *clean.values())
+        if g > 1:
+            clean = {mask: c // g for mask, c in clean.items()}
         self.terms = clean
+        self.den = den // g
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -42,25 +46,10 @@ class ExpPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            v = out.get(mask, 0) + c
-            if v:
-                out[mask] = v
-            else:
-                out.pop(mask, None)
-        return ExpPoly(out)
-
-    def abs_coefficient_sum(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        return hash((self.den, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -70,4 +59,5 @@ class ExpPoly:
             js = [str(j + 1) for j in range(mask.bit_length()) if mask >> j & 1]
             expo = "" if not js else " e^-(" + "+".join(f"1/{j}" for j in js) + ")"
             bits.append(f"{self.terms[mask]}{expo}")
-        return "ExpPoly(" + " + ".join(bits) + ")"
+        body = " + ".join(bits)
+        return f"ExpPoly({body})" if self.den == 1 else f"ExpPoly(({body})/{self.den})"

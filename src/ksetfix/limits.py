@@ -23,7 +23,8 @@ is the exponent mask collected so far. Every numerator shares the
 denominator prod_{j <= k/2} j^{b_j} b_j! with b_j = floor((k-1)/j), so an
 uncapped multiplicity m adds bit j to E and multiplies by the integer
 j^{b_j} b_j! / (j^m m!), and the capped one splits the state into the
-two terms of its binomial weight. A row count per A rides along.
+two terms of its binomial weight. A row count per A rides along. The
+polynomial keeps the numerators over that one denominator.
 
 Positions k/2 < j < k are settled in closed form. There m_j is 0 or 1,
 and m_j = 1 is the capped case with weight 1 - e^{-1/j}. A subset
@@ -45,7 +46,6 @@ the rows one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, lcm
 
 from .exppoly import ExpPoly
@@ -61,8 +61,9 @@ from .precision import (
 from .table import RowSink, TableStats, enumerate_rows
 
 # extra decimal digits carried by evaluate() beyond the requested ones;
-# the audited per-term error is under 4 ulp, so this covers polynomials
-# with up to ~10**8 terms of unit coefficient mass
+# evaluate_scaled errs by under 2 ulp per unit of coefficient mass plus
+# one final floor, and _working_prec adds digits for the term count and
+# the mass on top of these
 _EVAL_GUARD = 12
 
 
@@ -79,9 +80,6 @@ class HighPrecisionDecimal:
 
     def __str__(self) -> str:
         return self.value
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.scaled, 10**self.digits)
 
     def complement(self) -> HighPrecisionDecimal:
         """1 - value to the same places, with the same certificate.
@@ -157,7 +155,7 @@ def _expand_groups(
         row_count += rows[reach] << free
         for e, v in nums.items():
             total[e | forced] = total.get(e | forced, 0) + v
-    return ExpPoly({e: Fraction(v, common) for e, v in total.items()}), row_count
+    return ExpPoly(total, common), row_count
 
 
 def limiting_survival_checked(
@@ -180,34 +178,35 @@ def limiting_survival_checked(
 
 
 def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
-    """poly evaluated at scale 10**prec; error under (T + 2*sum|c| + 2) ulp.
+    """poly evaluated at scale 10**prec; error under (2*sum|c|/den + 1) ulp.
 
     Every exponent sum_{j in S} 1/j is taken as an integer numerator over
     the one denominator lcm(1..w), with w the largest j in any term. The
     floor divisions of :func:`~ksetfix.precision.exp_neg_fraction` give
-    the same integers for (g*num, g*den) as for (num, den), so this is
-    the value with every exponent in lowest terms.
+    the same integers for (g*num, g*lcm) as for (num, lcm), so these are
+    the exponentials of every exponent in lowest terms, each within 2 ulp.
+    Their combination with the integer numerators c is exact, and one
+    floor division by ``poly.den`` ends it.
     """
     w = max(poly.terms, default=0).bit_length()
-    den = lcm(*range(1, w + 1))
-    shares = [den // j for j in range(1, w + 1)]
+    exp_den = lcm(*range(1, w + 1))
+    shares = [exp_den // j for j in range(1, w + 1)]
     total = 0
     for mask, c in poly.terms.items():
         num = sum(shares[i] for i in range(mask.bit_length()) if mask >> i & 1)
-        e = exp_neg_fraction(num, den, prec)
-        total += c.numerator * e // c.denominator
-    return total
+        total += c * exp_neg_fraction(num, exp_den, prec)
+    return total // poly.den
 
 
 def _working_prec(poly: ExpPoly, digits: int) -> int:
     """The checked working precision for evaluating poly to ``digits`` places.
 
-    Guard digits scale with the term count and the coefficient mass, so
-    the error of :func:`evaluate_scaled` (series truncation, one
-    reciprocal and one floor division per term) stays strictly below half
-    an output ulp. The check raises, also under ``python -O``.
+    Guard digits scale with the term count and the coefficient mass
+    sum|c|/den, so the error budget (term count + 2*mass + 2 ulp, which
+    covers the error of :func:`evaluate_scaled`) stays strictly below
+    half an output ulp. The check raises, also under ``python -O``.
     """
-    mass = int(poly.abs_coefficient_sum()) + 1
+    mass = sum(map(abs, poly.terms.values())) // poly.den + 1
     nterms = len(poly)
     prec = digits + _EVAL_GUARD + len(str(nterms + 1)) + len(str(mass))
     budget = nterms + 2 * mass + 2

@@ -8,10 +8,11 @@ one-knapsack-per-partition pass).
 
 The slow paths the package no longer ships live here too: the limiting
 engine's row-by-row weights, the exponential-polynomial algebra they
-need, centralizer orders, and evaluation with every exponent as a
-``Fraction``. Functions that need ksetfix import it when called, because
-the benchmark's tests load this module's constants without the package
-on the path.
+need (on ``Fraction`` coefficients, converted to and from the package's
+integer numerators over one denominator), centralizer orders, and
+evaluation with every exponent as a ``Fraction``. Functions that need
+ksetfix import it when called, because the benchmark's tests load this
+module's constants without the package on the path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, floor, lcm
 from pathlib import Path
 from typing import Iterator
 
@@ -279,47 +280,71 @@ def exponent_fraction(mask: int) -> Fraction:
 def fraction_evaluate_scaled(poly, prec: int) -> int:
     """poly at scale 10**prec, with each term's exponent as a reduced Fraction.
 
-    The evaluation oracle: the same series and floor divisions as
+    The evaluation oracle: the same exponential series as
     ``limits.evaluate_scaled``, which takes every exponent over one
-    common denominator instead.
+    common denominator instead, combined with the coefficients as
+    Fractions and floored once.
     """
     from ksetfix.precision import exp_neg_fraction
 
-    total = 0
-    for mask, c in poly.terms.items():
+    total = Fraction(0)
+    for mask, c in poly_fractions(poly).items():
         q = exponent_fraction(mask)
-        e = exp_neg_fraction(q.numerator, q.denominator, prec)
-        total += c.numerator * e // c.denominator
-    return total
+        total += c * exp_neg_fraction(q.numerator, q.denominator, prec)
+    return floor(total)
+
+
+def poly_from_fractions(mapping):
+    """The ExpPoly with these rational coefficients, over their denominators' lcm."""
+    from ksetfix.exppoly import ExpPoly
+
+    coeffs = {mask: Fraction(c) for mask, c in mapping.items()}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return ExpPoly(
+        {mask: c.numerator * (den // c.denominator) for mask, c in coeffs.items()},
+        den,
+    )
+
+
+def poly_fractions(poly) -> dict[int, Fraction]:
+    """The coefficients of poly as Fractions, keyed by exponent mask."""
+    return {mask: Fraction(c, poly.den) for mask, c in poly.terms.items()}
 
 
 def exp_inv(j: int, coeff=1):
     """The single term coeff * e^{-1/j}."""
-    from ksetfix.exppoly import ExpPoly
-
     if j < 1:
         raise ValueError("j must be >= 1")
-    return ExpPoly({1 << (j - 1): coeff})
+    return poly_from_fractions({1 << (j - 1): coeff})
 
 
 def poly_one():
     """The constant polynomial 1."""
+    return poly_from_fractions({0: 1})
+
+
+def poly_add(a, b):
+    """a + b, termwise, over the lcm of the two denominators."""
     from ksetfix.exppoly import ExpPoly
 
-    return ExpPoly({0: 1})
+    den = lcm(a.den, b.den)
+    out = {mask: c * (den // a.den) for mask, c in a.terms.items()}
+    for mask, c in b.terms.items():
+        out[mask] = out.get(mask, 0) + c * (den // b.den)
+    return ExpPoly(out, den)
 
 
 def poly_scaled(poly, factor):
     """Every coefficient of poly times a rational factor."""
-    from ksetfix.exppoly import ExpPoly
-
     factor = Fraction(factor)
-    return ExpPoly({mask: c * factor for mask, c in poly.terms.items()})
+    return poly_from_fractions(
+        {mask: c * factor for mask, c in poly_fractions(poly).items()}
+    )
 
 
 def poly_sub(a, b):
     """a - b, termwise."""
-    return a + poly_scaled(b, -1)
+    return poly_add(a, poly_scaled(b, -1))
 
 
 def poly_mul(a, b):
@@ -328,23 +353,21 @@ def poly_mul(a, b):
     Multiplying exponentials unions their exponent sets, which is exact
     only when no 1/j would appear twice in one exponent.
     """
-    from ksetfix.exppoly import ExpPoly
-
     out: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in poly_fractions(a).items():
+        for mb, cb in poly_fractions(b).items():
             if ma & mb:
                 raise ValueError(
                     "product would repeat an exponent 1/j; operand "
                     "exponent sets must be disjoint"
                 )
             out[ma | mb] = out.get(ma | mb, 0) + ca * cb
-    return ExpPoly(out)
+    return poly_from_fractions(out)
 
 
 def coefficient_sum(poly) -> Fraction:
     """Value with every exponential replaced by 1 (a pure rational)."""
-    return sum(poly.terms.values(), Fraction(0))
+    return sum(poly_fractions(poly).values(), Fraction(0))
 
 
 def capped_tail_weight(k: int, j: int) -> Fraction:

@@ -35,6 +35,7 @@ from reference_data import (
     centralizer_size,
     exp_inv,
     load_golden_finite,
+    poly_add,
     poly_mul,
     poly_one,
     poly_scaled,
@@ -93,9 +94,10 @@ def test_criterion_04_k4_closed_form(survival):
     failures = []
     e74 = ExpPoly({0b1011: 1})
     e2512 = ExpPoly({0b1111: 1})
-    closed = poly_scaled(
-        poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)
-    ) + poly_scaled(e2512, Fraction(11, 3))
+    closed = poly_add(
+        poly_scaled(poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)),
+        poly_scaled(e2512, Fraction(11, 3)),
+    )
     table_value = evaluate(survival.poly(4), 12)
     closed_value = evaluate(closed, 12)
     if table_value.value != closed_value.value:

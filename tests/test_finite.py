@@ -3,6 +3,7 @@
 The partition stream tested first is the count table's oracle.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -17,6 +18,7 @@ from ksetfix.finite import (
     fixing_counts,
     format_probability,
 )
+from ksetfix.limits import evaluate, limiting_survival
 
 from reference_data import (
     brute_fix_fractions,
@@ -177,6 +179,69 @@ def test_columns_settle_to_limiting_values():
         for k in range(1, 7):
             got = format_probability(Fraction(counts[k], counts[0]), 5)
             assert got == limit_5dp[k], (n, k)
+
+
+def exp_neg_harmonic(k: int) -> tuple[Fraction, Fraction]:
+    """e^{-H_k} as an exact Fraction, and an allowance for its error.
+
+    H_k is exact; one division to 60 significant digits moves the
+    argument by under 2e-59 (H_k < 3 here), and decimal's exp is
+    correctly rounded, so for e^{-H_k} < 1 the error is below 1e-58.
+    The allowance 1e-50 covers that with room to spare.
+    """
+    h = sum(Fraction(1, j) for j in range(1, k + 1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        approx = (-Decimal(h.numerator) / h.denominator).exp()
+    return Fraction(approx), Fraction(1, 10**50)
+
+
+def cauchy_gap_bound(n: int, k: int) -> Fraction:
+    """An upper bound on |i(n,k) - i(inf,k)| from Cauchy's formula.
+
+    The counts C_1..C_k of short cycles of a uniform permutation of n
+    points take the value c with probability w(c) q(n - s), where
+    w(c) = prod_j (1/j)^{c_j}/c_j!, s = sum_j j c_j and q(r) is the share
+    of permutations of r points with every cycle longer than k; in the
+    limit the probability is w(c) e^{-H_k}. k-freeness depends on c only,
+    and the w(c) with sum s add up to a_s = [x^s] exp(sum_{j<=k} x^j/j),
+    whose total over all s is e^{H_k}. Hence
+
+        |i(n,k) - i(inf,k)| <= sum_{s<=n} a_s |q(n-s) - e^{-H_k}|
+                               + 1 - e^{-H_k} sum_{s<=n} a_s,
+
+    taken here at the worst end of the interval that holds e^{-H_k}.
+    """
+    # s a_s = sum_{j<=min(k,s)} a_{s-j}, from A' = (sum_{j<=k} x^{j-1}) A
+    a = [Fraction(1)]
+    for s in range(1, n + 1):
+        a.append(sum(a[s - j] for j in range(1, min(k, s) + 1)) / s)
+    # r q(r) = sum_{k<j<=r} q(r-j): the cycle through one fixed point has
+    # length j > k, and is one of (r-1)!/(r-j)! such cycles
+    q = [Fraction(1)]
+    for r in range(1, n + 1):
+        q.append(sum((q[r - j] for j in range(k + 1, r + 1)), Fraction(0)) / r)
+    e, allowance = exp_neg_harmonic(k)
+    lo, hi = e - allowance, e + allowance
+    near = sum(
+        a[s] * max(abs(q[n - s] - lo), abs(q[n - s] - hi)) for s in range(n + 1)
+    )
+    return near + 1 - lo * sum(a)
+
+
+@pytest.mark.parametrize("n", [50, 70])
+def test_finite_within_cauchy_bound_of_limit(n):
+    # ties the exact finite engine to the certified limiting evaluation
+    # without sampling; the 40-place value is within 10**-40 of i(inf,k)
+    for k in range(1, 11):
+        finite = finite_fix_probability(n, k).fix_probability
+        limit = evaluate(limiting_survival(k), 40).complement()
+        gap = abs(finite - Fraction(limit.scaled, 10**40))
+        bound = cauchy_gap_bound(n, k)
+        assert gap <= bound + Fraction(1, 10**40), (n, k, float(gap), float(bound))
+    # at n = 70 the bound ties the engines to 8 places or better for k <= 7
+    if n == 70:
+        assert cauchy_gap_bound(n, 7) < Fraction(1, 10**7)
 
 
 def test_format_probability_half_even():

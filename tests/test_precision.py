@@ -24,6 +24,7 @@ from reference_data import (
     LN_2_30DP,
     exp_inv,
     exponent_fraction,
+    poly_from_fractions,
     poly_one,
     poly_sub,
 )
@@ -150,7 +151,7 @@ def oracle_exp_neg(q: Fraction) -> Decimal:
 
 def oracle_poly(poly: ExpPoly) -> Decimal:
     return oracle(lambda: sum(
-        Decimal(c.numerator) / c.denominator * oracle_exp_neg(exponent_fraction(mask))
+        Decimal(c) / poly.den * oracle_exp_neg(exponent_fraction(mask))
         for mask, c in poly.terms.items()
     ))
 
@@ -182,7 +183,7 @@ exp_polys = st.dictionaries(
     st.integers(0, 2**16 - 1),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
     max_size=12,
-).map(ExpPoly)
+).map(poly_from_fractions)
 
 
 @settings(max_examples=60, deadline=None)
