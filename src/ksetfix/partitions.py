@@ -10,9 +10,10 @@ subpartition has size exactly k.
 The k-free decision is layered: a cheap prefix-sum criterion certifies
 that every size up to some threshold is achievable, a divisibility
 criterion certifies k-freeness outright for some inputs, and a bounded
-knapsack over a bit vector settles the rest. At run time only the Monte
-Carlo samplers call these tests, once per sample; the row table and the
-finite engine carry achievable-sum masks of their own.
+knapsack over a bit vector settles the rest. No command calls these
+tests at run time: the row table, the finite engine and the Monte Carlo
+samplers carry achievable-sum masks of their own. ``is_k_free`` is the
+public API, and the oracle the tests hold those masks to.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ one-knapsack-per-partition pass).
 The slow paths the package no longer ships live here too: the limiting
 engine's row-by-row weights, the exponential-polynomial algebra they
 need (on ``Fraction`` coefficients, converted to and from the package's
-integer numerators over one denominator), centralizer orders, and
-evaluation with every exponent as a ``Fraction``. Functions that need
-ksetfix import it when called, because the benchmark's tests load this
-module's constants without the package on the path.
+integer numerators over one denominator), centralizer orders,
+evaluation with every exponent as a ``Fraction``, and the Monte Carlo
+samplers that build each drawn vector and call ``is_k_free``.
+Functions that need ksetfix import it when called, because the
+benchmark's tests load this module's constants without the package on
+the path.
 """
 
 from __future__ import annotations
@@ -407,3 +409,64 @@ def row_contribution(k: int, row):
     for j, m in enumerate(row, start=1):
         poly = poly_mul(poly, row_factor(k, j, m))
     return poly
+
+
+# --- Monte Carlo samplers that test each drawn vector with is_k_free ---
+
+
+def reference_sample_limit_survival(k: int, samples: int, seed: int):
+    """The limiting sampler with one is_k_free call per drawn count vector.
+
+    Same stream as ``montecarlo.sample_limit_survival`` (one uniform per
+    position j = 1..k, inverted through the Poisson(1/j) CDF), but it
+    builds each multiplicity tuple and asks the layered test.
+    """
+    import random
+    from bisect import bisect_right
+
+    from ksetfix.montecarlo import McEstimate, _binomial_stderr, _poisson_cdf
+    from ksetfix.partitions import is_k_free
+
+    uniform = random.Random(seed).random
+    cdfs = [_poisson_cdf(1.0 / j) for j in range(1, k + 1)]
+    free = 0
+    for _ in range(samples):
+        ms = tuple(bisect_right(cdf, uniform()) for cdf in cdfs)
+        if is_k_free(k, ms):
+            free += 1
+    return McEstimate(free / samples, _binomial_stderr(free, samples), samples, seed)
+
+
+def reference_sample_finite_fix(n: int, k: int, samples: int, seed: int):
+    """The finite sampler with one is_k_free call per drawn cycle type.
+
+    Same stream as ``montecarlo.sample_finite_fix`` (one uniform per
+    cycle), but it counts the cycles up to length k in a list and asks
+    the layered test.
+    """
+    import random
+
+    from ksetfix.montecarlo import McEstimate, _binomial_stderr
+    from ksetfix.partitions import is_k_free
+
+    uniform = random.Random(seed).random
+    totals = [0] * n
+    fixes = 0
+    for _ in range(samples):
+        ms = [0] * k
+        r = n
+        while r:
+            length = 1 + int(uniform() * r)
+            totals[length - 1] += 1
+            if length <= k:
+                ms[length - 1] += 1
+            r -= length
+        if not is_k_free(k, ms):
+            fixes += 1
+    return McEstimate(
+        fixes / samples,
+        _binomial_stderr(fixes, samples),
+        samples,
+        seed,
+        tuple(t / samples for t in totals),
+    )

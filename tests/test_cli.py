@@ -136,6 +136,23 @@ def test_mc_finite_mode(runner):
     assert result.output.startswith("fix(n=6, k=3) = ")
 
 
+# stdout of the samplers as first recorded, when they still built each
+# drawn vector and called is_k_free on it
+MC_PINNED = {
+    ("--k", "10"): "survival(k=10) = 0.614000 +/- 0.003442 (samples=20000, seed=1)\n",
+    ("--n", "50", "--k", "20"): (
+        "fix(n=50, k=20) = 0.318400 +/- 0.003294 (samples=20000, seed=1)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(MC_PINNED), ids=["limit", "finite"])
+def test_mc_output_pinned(runner, model):
+    result = runner.invoke(main, ["mc", *model, "--samples", "20000", "--seed", "1"])
+    assert result.exit_code == 0
+    assert result.output == MC_PINNED[model]
+
+
 def test_usage_errors_exit_two(runner):
     assert runner.invoke(main, ["limit", "--k", "0"]).exit_code == 2
     assert runner.invoke(main, ["limit", "--k", "4", "--digits", "51"]).exit_code == 2

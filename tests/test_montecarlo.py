@@ -1,5 +1,6 @@
 """Samplers: determinism, distribution sanity, agreement with exact values."""
 
+import dataclasses
 from fractions import Fraction
 from math import sqrt
 
@@ -11,6 +12,10 @@ from ksetfix.montecarlo import (
     sample_finite_fix,
     sample_limit_survival,
 )
+
+from reference_data import reference_sample_finite_fix, reference_sample_limit_survival
+
+ORACLE_SAMPLES = 3000
 
 
 def test_limit_sampler_deterministic():
@@ -88,3 +93,22 @@ def test_estimates_in_unit_interval():
     assert est.std_error >= 0
     # the estimate is an exact multiple of 1/samples
     assert (Fraction(est.estimate).limit_denominator(2000)).denominator <= 2000
+
+
+# small k: Poisson counts often exceed the knapsack cap k // j
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4, 10, 25, 30])
+def test_limit_sampler_equals_is_k_free_oracle(k, seed):
+    fast = sample_limit_survival(k, ORACLE_SAMPLES, seed)
+    slow = reference_sample_limit_survival(k, ORACLE_SAMPLES, seed)
+    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "n, k", [(1, 1), (2, 1), (5, 5), (10, 5), (30, 1), (50, 20), (70, 30)]
+)
+def test_finite_sampler_equals_is_k_free_oracle(n, k, seed):
+    fast = sample_finite_fix(n, k, ORACLE_SAMPLES, seed)
+    slow = reference_sample_finite_fix(n, k, ORACLE_SAMPLES, seed)
+    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
