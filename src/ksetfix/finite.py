@@ -27,7 +27,7 @@ from typing import Iterator
 
 # not used here; the benchmark's tracer hooks these names on this module
 from .partitions import achievable_sizes_mask, universality_index  # noqa: F401
-from .precision import format_scaled
+from .precision import format_scaled, round_div
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def exceptions(n_max: int) -> set[tuple[int, int]]:
 
 def format_probability(value: Fraction, digits: int) -> str:
     """value as a decimal string with ``digits`` places, ties to even."""
-    return format_scaled(round(value * 10**digits), digits)
+    scaled = round_div(value.numerator * 10**digits, value.denominator)
+    return format_scaled(scaled, digits)
 
 
 def finite_table(
@@ -177,5 +178,5 @@ def finite_table(
     for n in range(2, n_max + 1):
         counts = table[n]
         for k in range(1, min(n // 2, k_max) + 1):
-            value = Fraction(counts[k], counts[0])
-            yield n, k, format_probability(1 - value if survival else value, digits)
+            num = counts[0] - counts[k] if survival else counts[k]
+            yield n, k, format_scaled(round_div(num * 10**digits, counts[0]), digits)

@@ -17,14 +17,15 @@ any requested number of decimal places.
 
 Rows are never built. Whether a row prefix extends to a k-free row
 depends only on its achievable-sum mask A (the sizes of its
-sub-multisets, truncated below k), so the sum is a dynamic programme over
-the positions j <= k/2 with states (A, E) -> integer numerator, where E
-is the exponent mask collected so far. Every numerator shares the
-denominator prod_{j <= k/2} j^{b_j} b_j! with b_j = floor((k-1)/j), so an
-uncapped multiplicity m adds bit j to E and multiplies by the integer
-j^{b_j} b_j! / (j^m m!), and the capped one splits the state into the
-two terms of its binomial weight. A row count per A rides along. The
-polynomial keeps the numerators over that one denominator.
+sub-multisets, truncated below k - j after position j), so the sum is a
+dynamic programme over the positions j <= k/2 with states (A, E) ->
+integer numerator, where E is the exponent mask collected so far. Every
+numerator shares the denominator prod_{j <= k/2} j^{b_j} b_j! with b_j =
+floor((k-1)/j), so an uncapped multiplicity m adds bit j to E and
+multiplies by the integer j^{b_j} b_j! / (j^m m!), and the capped one
+splits the state into the two terms of its binomial weight. A row count
+per A rides along. The polynomial keeps the numerators over that one
+denominator.
 
 Positions k/2 < j < k are settled in closed form. There m_j is 0 or 1,
 and m_j = 1 is the capped case with weight 1 - e^{-1/j}. A subset
@@ -46,7 +47,7 @@ the rows one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial
 
 from .exppoly import ExpPoly
 from .precision import (
@@ -96,7 +97,14 @@ def limiting_survival(k: int) -> ExpPoly:
 
 
 def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
-    """Like :func:`limiting_survival`, also returning the number of k-free rows."""
+    """Like :func:`limiting_survival`, also returning the number of k-free rows.
+
+    After position j, the later positions test bits k - i*j' (j' > j) of
+    the achievable sums and :func:`_expand_groups` reads bits k - j' for
+    j' > k/2, all below k - j. So the next states keep only those bits
+    and more prefixes share a state: the rule by which the row counting
+    programme of :mod:`ksetfix.table` trims its keys.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     kbit = 1 << k
@@ -113,6 +121,7 @@ def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
         scale = [w // (j**m * factorial(m)) for m in range(b + 1)]
         capped = k % j != 0  # then m = b reaches floor(k/j)
         tail = sum(scale[:b])  # w * sum_{i<floor(k/j)} 1/(j^i i!)
+        keep = (1 << (k - j)) - 1
         nxt: dict[int, dict[int, int]] = {}
         nxt_rows: dict[int, int] = {}
         for reach, nums in states.items():
@@ -123,8 +132,9 @@ def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
                     if reach & kbit:
                         break
                     reach &= below_k
-                out = nxt.setdefault(reach, {})
-                nxt_rows[reach] = nxt_rows.get(reach, 0) + count
+                key = reach & keep
+                out = nxt.setdefault(key, {})
+                nxt_rows[key] = nxt_rows.get(key, 0) + count
                 if capped and m == b:
                     for e, v in nums.items():
                         out[e] = out.get(e, 0) + v * w
@@ -178,24 +188,41 @@ def limiting_survival_checked(
 
 
 def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
-    """poly evaluated at scale 10**prec; error under (2*sum|c|/den + 1) ulp.
+    """poly evaluated at scale 10**prec; error under (sum|c|/den / 10 + 1) ulp.
 
-    Every exponent sum_{j in S} 1/j is taken as an integer numerator over
-    the one denominator lcm(1..w), with w the largest j in any term. The
-    floor divisions of :func:`~ksetfix.precision.exp_neg_fraction` give
-    the same integers for (g*num, g*lcm) as for (num, lcm), so these are
-    the exponentials of every exponent in lowest terms, each within 2 ulp.
-    Their combination with the integer numerators c is exact, and one
-    floor division by ``poly.den`` ends it.
+    With w the largest j in any term, the w seeds y_j = e^{-1/j} come
+    from :func:`~ksetfix.precision.exp_neg_fraction` at the working scale
+    S = 10**(prec + g), g = len(str(3w)) + 1. A term's exponential is a
+    memoised integer product: the value for a mask is y_top times the
+    value for the mask without its top bit, floored at scale S.
+
+    Audit, in units of 1/S: a seed is off by at most 2. A product of a
+    seed off by a and a prefix off by b (both values at most S) is off by
+    at most |a| + |b| + |ab|/S plus the floor's 1, so a term with p bits
+    is off by under 3p + 1 units (the cross terms stay far below one unit
+    for S > 6w^2). The integer numerators c combine these exactly, and
+    one floor division by den * 10**g ends it, so the result errs by
+    under (3w + 1) * sum|c|/den / 10**g + 1 ulp. As 10**g >= 10 * (3w + 1),
+    that is under 0.1 ulp per unit of coefficient mass plus one floor,
+    inside the 2 ulp per unit plus one floor that :func:`_working_prec`
+    budgets.
     """
     w = max(poly.terms, default=0).bit_length()
-    exp_den = lcm(*range(1, w + 1))
-    shares = [exp_den // j for j in range(1, w + 1)]
-    total = 0
-    for mask, c in poly.terms.items():
-        num = sum(shares[i] for i in range(mask.bit_length()) if mask >> i & 1)
-        total += c * exp_neg_fraction(num, exp_den, prec)
-    return total // poly.den
+    g = len(str(3 * w)) + 1
+    one = 10 ** (prec + g)
+    seeds = [exp_neg_fraction(1, j, prec + g) for j in range(1, w + 1)]
+    memo = {0: one}
+
+    def exp_of(mask: int) -> int:
+        value = memo.get(mask)
+        if value is None:
+            top = mask.bit_length() - 1
+            value = seeds[top] * exp_of(mask ^ (1 << top)) // one
+            memo[mask] = value
+        return value
+
+    total = sum(c * exp_of(mask) for mask, c in poly.terms.items())
+    return total // (poly.den * 10**g)
 
 
 def _working_prec(poly: ExpPoly, digits: int) -> int:

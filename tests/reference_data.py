@@ -282,10 +282,11 @@ def exponent_fraction(mask: int) -> Fraction:
 def fraction_evaluate_scaled(poly, prec: int) -> int:
     """poly at scale 10**prec, with each term's exponent as a reduced Fraction.
 
-    The evaluation oracle: the same exponential series as
-    ``limits.evaluate_scaled``, which takes every exponent over one
-    common denominator instead, combined with the coefficients as
-    Fractions and floored once.
+    The evaluation oracle: one ``exp_neg_fraction`` per term, where
+    ``limits.evaluate_scaled`` multiplies memoised powers of e^{-1/j},
+    combined with the coefficients as Fractions and floored once. Each
+    exponential is within 2 ulp, so the result errs by under
+    2 * sum|c| + 1 ulp.
     """
     from ksetfix.precision import exp_neg_fraction
 

@@ -13,6 +13,7 @@ from ksetfix.limits import (
     limiting_fix_probability,
     limiting_survival,
 )
+from ksetfix.precision import round_scaled
 from ksetfix.table import enumerate_rows
 
 from reference_data import (
@@ -154,11 +155,18 @@ def test_complement_equals_evaluated_complement(k, survival):
     *(pytest.param(k, marks=pytest.mark.longrun) for k in range(23, 31)),
 ])
 def test_evaluate_scaled_equals_fraction_exponent_oracle(k, survival):
-    # exponents over one common denominator give the same integers as
-    # each exponent as a reduced Fraction
+    # the memoised products of e^{-1/j} against one exp_neg_fraction per
+    # reduced Fraction exponent: within the sum of both documented budgets
+    # (mass/10 + 1 ulp for the products, 2 * mass + 1 for the oracle), and
+    # equal once rounded to 8 places and to the guard-free prec - 12
     poly = survival.poly(k)
+    mass = Fraction(sum(map(abs, poly.terms.values())), poly.den)
     for prec in (21, 30, 70):
-        assert limits.evaluate_scaled(poly, prec) == fraction_evaluate_scaled(poly, prec)
+        got = limits.evaluate_scaled(poly, prec)
+        want = fraction_evaluate_scaled(poly, prec)
+        assert abs(got - want) < mass / 10 + 1 + 2 * mass + 1
+        for digits in (8, prec - 12):
+            assert round_scaled(got, prec, digits) == round_scaled(want, prec, digits)
 
 
 def test_limiting_fix_probability_entry_point():

@@ -1,14 +1,14 @@
 """Fixed-point kernels against known constants, floats and a decimal oracle."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksetfix.exppoly import ExpPoly
-from ksetfix.limits import evaluate
+from ksetfix.limits import decay_exponent, efg_ratio, evaluate, limiting_survival
 from ksetfix.precision import (
     exp_neg_fraction,
     exp_small,
@@ -16,6 +16,7 @@ from ksetfix.precision import (
     ln_int,
     ln_scaled,
     pow_three_halves,
+    round_div,
     round_scaled,
 )
 
@@ -98,6 +99,12 @@ def test_round_scaled_half_to_even():
     assert round_scaled(1350, 3, 1) == 14  # 1.350 -> 1.4 (even)
     assert round_scaled(1349, 3, 1) == 13
     assert round_scaled(-1250, 3, 1) == -12
+    assert round_div(10, 4) == 2  # 2.5 -> 2 (even)
+    assert round_div(14, 4) == 4  # 3.5 -> 4 (even)
+    assert round_div(-14, 4) == -4
+    assert round_div(7, 3) == 2
+    with pytest.raises(ValueError):
+        round_div(1, 0)
 
 
 def test_format_scaled():
@@ -194,9 +201,28 @@ def test_evaluate_certificate_against_decimal_oracle(poly, digits):
     assert oracle(lambda: abs(got - oracle_poly(poly))) < Decimal(10) ** -digits
 
 
-@pytest.mark.parametrize("k", [4, 10, 16])
+@pytest.mark.parametrize("k", [4, 10, 16, 22, 30])
 def test_evaluate_survival_polynomials_against_decimal_oracle(k, survival):
     poly = survival.poly(k)
     for p in (poly, poly_sub(poly_one(), poly)):
         got = Decimal(evaluate(p, DIGITS).value)
         assert oracle(lambda: abs(got - oracle_poly(p))) < Decimal(10) ** -DIGITS
+
+
+def test_results_ignore_the_callers_decimal_context():
+    # every decimal operation runs in an explicit context of its own, so a
+    # coarse, floor-rounding thread context changes no digit
+    def results():
+        return (
+            exp_neg_fraction(7, 4, 60),
+            ln_int(30, 60),
+            evaluate(limiting_survival(22), 50),
+            decay_exponent(50),
+            efg_ratio(10, 50),
+        )
+
+    want = results()
+    with localcontext() as ctx:
+        ctx.prec = 5
+        ctx.rounding = ROUND_FLOOR
+        assert results() == want
