@@ -42,30 +42,40 @@ The limiting CLI commands check this count, through
 counters. Without a consumer that function counts the rows by its own
 dynamic programme over row prefixes; only ``limit --emit-rows`` walks
 the rows one by one.
+
+The comparison with the order k^-delta (ln k)^-3/2 of i(k) takes the
+fix probability from :func:`evaluate` and the growth factor from the
+correctly rounded ``ln``, ``exp`` and ``sqrt`` of the stdlib
+:mod:`decimal` module, every operation in one explicit context, so the
+caller's thread context changes no digit; see :func:`efg_ratio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from math import factorial
 
 from .exppoly import ExpPoly
 from .precision import (
+    _context,
+    _scaled,
     exp_neg_fraction,
-    exp_small,
     format_scaled,
-    ln_int,
-    ln_scaled,
-    pow_three_halves,
     round_scaled,
 )
 from .table import RowSink, TableStats, enumerate_rows
 
-# extra decimal digits carried by evaluate() beyond the requested ones;
-# evaluate_scaled errs by under 2 ulp per unit of coefficient mass plus
-# one final floor, and _working_prec adds digits for the term count and
-# the mass on top of these
+# extra decimal digits carried by evaluate() beyond the requested ones,
+# on top of the digits of the coefficient mass; evaluate_scaled errs by
+# under 0.1 ulp per unit of mass plus one final floor, which these cover
+# many times over
 _EVAL_GUARD = 12
+
+# extra digits carried by decay_exponent() and efg_ratio() beyond the
+# requested ones; efg_ratio's growth factor, below 10**3 for k < 10**9,
+# spends 3 of them
+_RATIO_GUARD = 5
 
 
 @dataclass(frozen=True)
@@ -204,8 +214,8 @@ def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
     one floor division by den * 10**g ends it, so the result errs by
     under (3w + 1) * sum|c|/den / 10**g + 1 ulp. As 10**g >= 10 * (3w + 1),
     that is under 0.1 ulp per unit of coefficient mass plus one floor,
-    inside the 2 ulp per unit plus one floor that :func:`_working_prec`
-    budgets.
+    inside the budget of one ulp per unit plus one that :func:`evaluate`
+    checks.
     """
     w = max(poly.terms, default=0).bit_length()
     g = len(str(3 * w)) + 1
@@ -225,33 +235,22 @@ def evaluate_scaled(poly: ExpPoly, prec: int) -> int:
     return total // (poly.den * 10**g)
 
 
-def _working_prec(poly: ExpPoly, digits: int) -> int:
-    """The checked working precision for evaluating poly to ``digits`` places.
-
-    Guard digits scale with the term count and the coefficient mass
-    sum|c|/den, so the error budget (term count + 2*mass + 2 ulp, which
-    covers the error of :func:`evaluate_scaled`) stays strictly below
-    half an output ulp. The check raises, also under ``python -O``.
-    """
-    mass = sum(map(abs, poly.terms.values())) // poly.den + 1
-    nterms = len(poly)
-    prec = digits + _EVAL_GUARD + len(str(nterms + 1)) + len(str(mass))
-    budget = nterms + 2 * mass + 2
-    if not 2 * budget < 10 ** (prec - digits):
-        raise AssertionError("evaluation error budget exceeds half an output ulp")
-    return prec
-
-
 def evaluate(poly: ExpPoly, digits: int) -> HighPrecisionDecimal:
     """Evaluate an ExpPoly to ``digits`` decimal places, certified.
 
-    At the working precision of :func:`_working_prec` the accumulated
-    error stays below half an output ulp; the half-even output rounding
-    then keeps the printed string within 10**-digits of the true value.
+    The working precision carries the digits of the coefficient mass
+    sum|c|/den on top of :data:`_EVAL_GUARD`, and the error budget of
+    mass + 1 ulp, which covers the error of :func:`evaluate_scaled`, is
+    checked to stay below half an output ulp; the check raises, also
+    under ``python -O``. The half-even output rounding then keeps the
+    printed string within 10**-digits of the true value.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    prec = _working_prec(poly, digits)
+    mass = sum(map(abs, poly.terms.values())) // poly.den + 1
+    prec = digits + _EVAL_GUARD + len(str(mass))
+    if not 2 * (mass + 1) < 10 ** (prec - digits):
+        raise AssertionError("evaluation error budget exceeds half an output ulp")
     return HighPrecisionDecimal(
         digits, round_scaled(evaluate_scaled(poly, prec), prec, digits)
     )
@@ -262,12 +261,10 @@ def limiting_fix_probability(k: int, digits: int) -> HighPrecisionDecimal:
     return evaluate(limiting_survival(k), digits).complement()
 
 
-def decay_exponent_scaled(prec: int) -> int:
-    """The exponent 1 - (1 + ln ln 2)/ln 2 at scale 10**prec, within a few ulp."""
-    s = 10**prec
-    l2 = ln_int(2, prec)
-    ll2 = ln_scaled(l2, prec)
-    return s - (s + ll2) * s // l2
+def _delta(ctx: Context) -> Decimal:
+    """The decay exponent 1 - (1 + ln ln 2)/ln 2, every operation in ctx."""
+    ln2 = ctx.ln(2)
+    return ctx.subtract(1, ctx.divide(ctx.add(1, ctx.ln(ln2)), ln2))
 
 
 def decay_exponent(digits: int) -> HighPrecisionDecimal:
@@ -276,12 +273,17 @@ def decay_exponent(digits: int) -> HighPrecisionDecimal:
     This is the exponent delta = 1 - (1 + ln ln 2)/ln 2 of Eberhard, Ford
     and Green, "Permutations fixing a k-set" (IMRN 2016), who show that
     i(k) is of order k^-delta (ln k)^-3/2.
+
+    Audit: in a context of digits + 5 significant digits, each of the
+    five correctly rounded operations errs by a relative half unit in the
+    last place, 5 * 10**-(digits+5). Through ln ln 2 and the quotient
+    they leave delta off by under five such units, under 10**-(digits+3),
+    and the exact conversion then rounds half to even once.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    prec = digits + _EVAL_GUARD
     return HighPrecisionDecimal(
-        digits, round_scaled(decay_exponent_scaled(prec), prec, digits)
+        digits, _scaled(_delta(_context(digits + _RATIO_GUARD)), digits)
     )
 
 
@@ -289,23 +291,33 @@ def efg_ratio(k: int, digits: int) -> HighPrecisionDecimal:
     """i(k) / (k^-d (ln k)^-3/2) with d the decay exponent, to ``digits`` places.
 
     The comparison curve is the order of i(k) found by Eberhard, Ford and
-    Green, "Permutations fixing a k-set" (IMRN 2016). The working
-    precision is the checked one of :func:`evaluate` for the survival
-    polynomial plus 4 digits: the other factors carry at most a few ulp
-    each, and k^d (ln k)^3/2 amplifies the survival's error by less than
-    10**3 for every k below 10**9.
+    Green, "Permutations fixing a k-set" (IMRN 2016). The ratio is the
+    fix probability i(k) from :func:`evaluate` at digits + G places, G =
+    :data:`_RATIO_GUARD`, times the growth factor k^d (ln k)^3/2 from
+    the correctly rounded ``ln``, ``exp`` and ``sqrt`` of one decimal
+    context of digits + G + 4 significant digits.
+
+    Audit: the fix probability errs by under 10**-(digits+G), and for
+    k < 10**9 the growth factor is below 10**3, so that error reaches
+    the ratio as under 10**-(digits+2). Each of the twelve correctly
+    rounded decimal operations costs a relative half unit in the last
+    place, 5 * 10**-(digits+G+4); the cancellation in d (about elevenfold)
+    and the exponent d ln k < 1.8 add them up to a relative error of the
+    ratio under 10**-(digits+G+1), under 10**-(digits+3) absolute as the
+    ratio is below 10**3. The exact conversion of the product then rounds
+    half to even once, so the printed value is within 10**-digits of the
+    true ratio.
     """
     if k < 2:
         raise ValueError("the ratio needs k >= 2 (positive ln k)")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    survival = limiting_survival(k)
-    prec = _working_prec(survival, digits) + 4
-    s = 10**prec
-    fix = s - evaluate_scaled(survival, prec)
-    lnk = ln_int(k, prec)
-    d = decay_exponent_scaled(prec)
-    k_pow = exp_small(d * lnk // s, prec)
-    lnk_pow = pow_three_halves(lnk, prec)
-    value = fix * k_pow // s * lnk_pow // s
-    return HighPrecisionDecimal(digits, round_scaled(value, prec, digits))
+    fix = evaluate(limiting_survival(k), digits + _RATIO_GUARD).complement()
+    ctx = _context(digits + _RATIO_GUARD + 4)
+    lnk = ctx.ln(k)
+    growth = ctx.multiply(
+        ctx.exp(ctx.multiply(_delta(ctx), lnk)),
+        ctx.multiply(lnk, ctx.sqrt(lnk)),
+    )
+    value = ctx.multiply(ctx.scaleb(fix.scaled, -fix.digits), growth)
+    return HighPrecisionDecimal(digits, _scaled(value, digits))

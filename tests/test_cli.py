@@ -1,5 +1,7 @@
 """Command-line surface: formats, golden lines, exit codes, determinism."""
 
+import hashlib
+
 import pytest
 from click.testing import CliRunner
 
@@ -116,6 +118,68 @@ def test_ratio_smallest_range(runner):
     result = runner.invoke(main, ["ratio", "--k-max", "2"])
     lines = result.output.splitlines()
     assert lines == ["k,ratio", "2,0.33919847"]
+
+
+RATIO_K30_D8 = """k,ratio
+2,0.33919847
+3,0.62852883
+4,0.86355954
+5,1.03528929
+6,1.18944671
+7,1.31097644
+8,1.42476890
+9,1.51562153
+10,1.60541992
+11,1.67845304
+12,1.75223516
+13,1.81322541
+14,1.87537090
+15,1.92731923
+16,1.98142767
+17,2.02644462
+18,2.07381295
+19,2.11392241
+20,2.15615188
+21,2.19193947
+22,2.23007929
+23,2.26240691
+24,2.29712683
+25,2.32665690
+26,2.35836321
+27,2.38550565
+28,2.41486068
+29,2.43985146
+30,2.46702244
+"""
+
+
+def test_ratio_output_pinned(runner):
+    # every k of the paper's range k <= 30; the tests above stop at k = 2
+    result = runner.invoke(main, ["ratio", "--k-max", "30", "--digits", "8"])
+    assert result.exit_code == 0
+    assert result.output == RATIO_K30_D8
+
+
+# SHA-256 of the stdout of limit-table and ratio at --k-max 30, then
+# decay_exponent, for every --digits 1..50 in turn
+SWEEP_DIGEST = "9da5a99fa9b5884f57b9d99571aa55f7a376ad7276ac95911e0bac06a64f1da4"
+
+
+@pytest.mark.longrun
+def test_digits_sweep_digest(runner):
+    # a change of the evaluators that keeps every printed byte keeps this
+    from ksetfix.limits import decay_exponent
+
+    digest = hashlib.sha256()
+    for digits in range(1, 51):
+        for command in ("limit-table", "ratio"):
+            result = runner.invoke(
+                main, [command, "--k-max", "30", "--digits", str(digits)]
+            )
+            assert result.exit_code == 0
+            digest.update(result.output.encode())
+        digest.update(f"{decay_exponent(digits)}\n".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_mc_limit_reproducible(runner):

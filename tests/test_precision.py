@@ -11,11 +11,7 @@ from ksetfix.exppoly import ExpPoly
 from ksetfix.limits import decay_exponent, efg_ratio, evaluate, limiting_survival
 from ksetfix.precision import (
     exp_neg_fraction,
-    exp_small,
     format_scaled,
-    ln_int,
-    ln_scaled,
-    pow_three_halves,
     round_div,
     round_scaled,
 )
@@ -51,46 +47,6 @@ def test_exp_neg_cross_check_against_floats(num, den):
     got = exp_neg_fraction(num, den, 20)
     want = math.exp(-num / den)
     assert abs(got / 10**20 - want) < 5e-13
-
-
-def test_ln2_thirty_places():
-    want = as_scaled(LN_2_30DP, 30)
-    assert abs(ln_int(2, 30) - want) <= 2
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 10, 30, 70])
-def test_ln_int_cross_check_against_floats(n):
-    assert abs(ln_int(n, 20) / 10**20 - math.log(n)) < 5e-13
-
-
-def test_ln_scaled_handles_arguments_below_one():
-    # ln(ln 2) is about -0.3665
-    l2 = ln_int(2, 25)
-    got = ln_scaled(l2, 25)
-    want = math.log(math.log(2))
-    assert got < 0
-    assert abs(got / 10**25 - want) < 1e-12
-
-
-def test_ln_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ln_scaled(0, 10)
-
-
-def test_exp_small_cross_check():
-    for x in (0.0, 0.059, 0.5, 1.0, 1.999):
-        scaled = int(x * 10**20)
-        got = exp_small(scaled, 20)
-        assert abs(got / 10**20 - math.exp(scaled / 10**20)) < 5e-13
-    with pytest.raises(ValueError):
-        exp_small(3 * 10**20, 20)
-
-
-def test_pow_three_halves_cross_check():
-    for x in (0.25, 0.693147, 1.0, 3.4012):
-        scaled = int(x * 10**20)
-        got = pow_three_halves(scaled, 20)
-        assert abs(got / 10**20 - (scaled / 10**20) ** 1.5) < 5e-12
 
 
 def test_round_scaled_half_to_even():
@@ -163,6 +119,39 @@ def oracle_poly(poly: ExpPoly) -> Decimal:
     ))
 
 
+def oracle_delta() -> Decimal:
+    return oracle(lambda: 1 - (1 + Decimal(2).ln().ln()) / Decimal(2).ln())
+
+
+def oracle_ratio(k: int, poly: ExpPoly) -> Decimal:
+    def ratio():
+        lnk = Decimal(k).ln()
+        growth = (oracle_delta() * lnk).exp() * lnk ** Decimal("1.5")
+        return (1 - oracle_poly(poly)) * growth
+
+    return oracle(ratio)
+
+
+def test_oracle_ln2_thirty_places():
+    # the oracle's own ln 2, which its delta is built on, against the constant
+    got = oracle(lambda: Decimal(2).ln())
+    assert oracle(lambda: abs(got - Decimal(LN_2_30DP))) < Decimal(10) ** -30
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 16, 22, 30])
+def test_efg_ratio_against_decimal_oracle(k, survival):
+    got = Decimal(efg_ratio(k, DIGITS).value)
+    want = oracle_ratio(k, survival.poly(k))
+    assert oracle(lambda: abs(got - want)) < Decimal(10) ** -DIGITS
+
+
+def test_decay_exponent_against_decimal_oracle():
+    want = oracle_delta()
+    for digits in range(1, DIGITS + 1):
+        got = Decimal(decay_exponent(digits).value)
+        assert oracle(lambda: abs(got - want)) < Decimal(10) ** -digits
+
+
 def scaled_error(got: int, want: Decimal) -> Decimal:
     return oracle(lambda: abs(got - want.scaleb(DIGITS)))
 
@@ -176,14 +165,6 @@ def test_exp_neg_fraction_within_two_ulp_of_decimal_oracle(num_den):
     num, den = num_den
     got = exp_neg_fraction(num, den, DIGITS)
     assert scaled_error(got, oracle_exp_neg(Fraction(num, den))) <= 2
-
-
-@given(st.integers(1, 10**70))
-def test_ln_scaled_within_two_ulp_of_decimal_oracle(x_scaled):
-    # arguments from 10**-50 to 10**20, both signs of the logarithm
-    got = ln_scaled(x_scaled, DIGITS)
-    want = oracle(lambda: Decimal(x_scaled).scaleb(-DIGITS).ln())
-    assert scaled_error(got, want) <= 2
 
 
 exp_polys = st.dictionaries(
@@ -215,7 +196,6 @@ def test_results_ignore_the_callers_decimal_context():
     def results():
         return (
             exp_neg_fraction(7, 4, 60),
-            ln_int(30, 60),
             evaluate(limiting_survival(22), 50),
             decay_exponent(50),
             efg_ratio(10, 50),
