@@ -10,8 +10,8 @@ The package computes, in exact arithmetic throughout:
   step that drives two ways through the rows: a depth-first walk that
   emits every row, and a dynamic programme over merged row prefixes
   that only counts them;
-* the finite-degree probabilities for every degree up to a bound at
-  once, by a dynamic programme over achievable-sum masks;
+* the finite-degree probabilities for every degree up to a bound, one
+  k per run, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.
 
 The package ships the engines only. The slow paths that the tests use as

@@ -7,22 +7,18 @@ with z(t) = prod_j j^{m_j} m_j! the order of its centralizer, so the
 fixing probability is a sum of exact unit fractions over the partitions
 of n, with denominator dividing n!.
 
-Partitions are never built. Whether a cycle type reaches every k <= cap
-depends only on the achievable-sum mask of its parts up to cap, so one
-dynamic programme over the part lengths j = 1..cap serves every n <= n_max
-and every k <= cap at once. Its states are, per total size s of the parts
-folded so far, {mask: sum of n_max!/z}, always an integer. A state whose
-size leaves no room for another part up to cap is settled into per-(s, k)
-totals at once, so the live states stay few. Parts longer than cap never
-change the mask; they fill the remaining n - s points in closed form,
-through the number of permutations of n - s points whose cycles are all
-longer than cap.
+Partitions are never built. For one k, :func:`survival_counts` folds
+the cycle lengths j < k into states (size, achievable-sum mask) -> sum
+of n_max!/z, an integer. A k-cycle always fixes a k-subset, and longer
+cycles, which lie in none, fill the remaining points in closed form, so
+one run serves every n <= n_max. Tables over several k run it per k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterator
 
 # not used here; the benchmark's tracer hooks these names on this module
@@ -40,74 +36,77 @@ class FiniteResult:
     survival: Fraction
 
 
+def survival_counts(n_max: int, k: int) -> list[int]:
+    """alive[n] = number of permutations of Sym_n fixing no k-subset, n <= n_max.
+
+    Parts j = 1..k-1 are folded in increasing order over states (size s,
+    achievable-sum mask) weighted by n_max!/z; the m-th copy of j divides
+    the weight by j*m, which is always exact. A state is dropped once bit
+    k is set, and after part j keeps only the bits below k - j, by the
+    rule of :func:`ksetfix.limits.limiting_survival_with_stats`. A state
+    with no room for part j+1 is final and goes into its size's total.
+    """
+    if not 1 <= k <= n_max:
+        raise ValueError("need 1 <= k <= n_max")
+    fact = [1]
+    for i in range(1, n_max + 1):
+        fact.append(fact[-1] * i)
+    kbit = 1 << k
+    live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    live[0][1] = fact[n_max]
+    total = [0] * (n_max + 1)
+    for j in range(1, k):
+        keep = (1 << (k - j)) - 1
+        limit = n_max - j - 1  # larger sizes have no room for part j+1
+        for s in range(n_max - j, -1, -1):
+            states, live[s] = live[s], {}
+            for mask, w in states.items():
+                t, m = s, 0
+                while True:
+                    if t > limit:
+                        total[t] += w
+                    else:
+                        layer, key = live[t], mask & keep
+                        layer[key] = layer.get(key, 0) + w
+                    t += j
+                    m += 1
+                    mask |= mask << j  # bits above k never reach bit k
+                    if t > n_max or mask & kbit:
+                        break
+                    w //= j * m
+    for s, states in enumerate(live):  # left after part k-1, or k = 1
+        total[s] += sum(states.values())
+
+    # big[r]: permutations of r points whose cycles are all longer than k
+    big = [1] + [0] * n_max
+    for r in range(k + 1, n_max + 1):
+        big[r] = sum(
+            fact[r - 1] // fact[r - length] * big[r - length]
+            for length in range(k + 1, r + 1)
+        )
+    return [
+        sum(
+            total[s] * fact[n] * big[n - s] // (fact[n_max] * fact[n - s])
+            for s in range(n + 1)
+            if big[n - s]
+        )
+        for n in range(n_max + 1)
+    ]
+
+
 def fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
     """counts[n][k] = number of permutations of Sym_n fixing some k-subset.
 
     Covers every n <= n_max and k <= min(cap, n); counts[n][0] is n!.
-    Parts j = 1..cap are folded in bounded-knapsack order (sizes from the
-    largest down), dividing the weight n_max!/z by j*m for the m-th copy
-    of j, which is always exact.
+    One run of :func:`survival_counts` per k fills column k.
     """
     if n_max < 1 or cap < 1:
         raise ValueError("need n_max >= 1 and cap >= 1")
-    fact = [1]
-    for i in range(1, n_max + 1):
-        fact.append(fact[-1] * i)
-    full = (1 << cap + 1) - 1
-    live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    live[0][1] = fact[n_max]
-    # totals[s][k] = weight[s] - missing[s][k]: most masks have more bits
-    # set than clear, so settling walks the clear bits
-    weight = [0] * (n_max + 1)
-    missing = [[0] * (cap + 1) for _ in range(n_max + 1)]
-
-    def settle(s: int, mask: int, w: int) -> None:
-        weight[s] += w
-        row = missing[s]
-        gaps = ~mask & full
-        while gaps:
-            low = gaps & -gaps
-            row[low.bit_length() - 1] += w
-            gaps ^= low
-
-    for j in range(1, cap + 1):
-        # after this layer, a state of size above limit has no room for
-        # any part j+1..cap, so it is settled instead of kept
-        limit = n_max - j - 1 if j < cap else -1
-        for s in range(n_max - j, -1, -1):
-            for mask, w in live[s].items():
-                t, m = s, 0
-                while t + j <= n_max:
-                    t += j
-                    m += 1
-                    mask |= mask << j & full
-                    w //= j * m
-                    if t > limit:
-                        settle(t, mask, w)
-                    else:
-                        layer = live[t]
-                        layer[mask] = layer.get(mask, 0) + w
-            if s > limit:
-                for mask, w in live[s].items():
-                    settle(s, mask, w)
-                live[s] = {}
-
-    # big[r]: permutations of r points whose cycles are all longer than cap
-    big = [1] + [0] * n_max
-    for r in range(cap + 1, n_max + 1):
-        big[r] = sum(
-            fact[r - 1] // fact[r - length] * big[r - length]
-            for length in range(cap + 1, r + 1)
-        )
-    counts = []
-    for n in range(n_max + 1):
-        row = [0] * (min(cap, n) + 1)
-        for s in range(n + 1):
-            if big[n - s]:
-                scale, div = fact[n] * big[n - s], fact[n_max] * fact[n - s]
-                for k in range(len(row)):
-                    row[k] += (weight[s] - missing[s][k]) * scale // div
-        counts.append(row)
+    counts = [[factorial(n)] + [0] * min(cap, n) for n in range(n_max + 1)]
+    for k in range(1, min(cap, n_max) + 1):
+        alive = survival_counts(n_max, k)
+        for n in range(k, n_max + 1):
+            counts[n][k] = counts[n][0] - alive[n]
     return counts
 
 
@@ -123,13 +122,8 @@ def fixing_counts(n: int, k_cap: int) -> list[int]:
 
 def finite_fix_probability(n: int, k: int) -> FiniteResult:
     """Exact probability that a uniform permutation of Sym_n fixes a k-subset."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    counts = fixing_counts(n, k)
-    fix = Fraction(counts[k], counts[0])
-    return FiniteResult(n, k, fix, 1 - fix)
+    survival = Fraction(survival_counts(n, k)[n], factorial(n))
+    return FiniteResult(n, k, 1 - survival, survival)
 
 
 def exceptions(n_max: int) -> set[tuple[int, int]]:

@@ -3,8 +3,9 @@
 The golden tables in tests/golden/*.csv and the constants here are
 regression targets; the oracle functions recompute quantities by routes
 deliberately different from the library's (direct enumeration, classical
-recurrences, vectorized orbit tests, and the finite engine's former
-one-knapsack-per-partition pass).
+recurrences, vectorized orbit tests, and the finite engine's two former
+routes: one knapsack per partition, and one all-k programme over
+untrimmed achievable-sum masks).
 
 The slow paths the package no longer ships live here too: the limiting
 engine's row-by-row weights, the exponential-polynomial algebra they
@@ -218,6 +219,81 @@ def partition_fixing_counts(n: int, k_cap: int) -> list[int]:
                 counts[k] += w
     for k in range(1, k_cap + 1):
         counts[k] += universal_weight
+    return counts
+
+
+def mask_fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
+    """counts[n][k] = number of permutations of Sym_n fixing some k-subset.
+
+    Covers every n <= n_max and k <= min(cap, n); counts[n][0] is n!.
+    Parts j = 1..cap are folded in bounded-knapsack order (sizes from the
+    largest down), dividing the weight n_max!/z by j*m for the m-th copy
+    of j, which is always exact.
+
+    The finite engine's former all-k programme: one run serves every
+    k <= cap, on untrimmed masks of cap + 1 bits, and a state with no
+    room for another part up to cap is settled into per-(s, k) totals.
+    """
+    if n_max < 1 or cap < 1:
+        raise ValueError("need n_max >= 1 and cap >= 1")
+    fact = [1]
+    for i in range(1, n_max + 1):
+        fact.append(fact[-1] * i)
+    full = (1 << cap + 1) - 1
+    live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    live[0][1] = fact[n_max]
+    # totals[s][k] = weight[s] - missing[s][k]: most masks have more bits
+    # set than clear, so settling walks the clear bits
+    weight = [0] * (n_max + 1)
+    missing = [[0] * (cap + 1) for _ in range(n_max + 1)]
+
+    def settle(s: int, mask: int, w: int) -> None:
+        weight[s] += w
+        row = missing[s]
+        gaps = ~mask & full
+        while gaps:
+            low = gaps & -gaps
+            row[low.bit_length() - 1] += w
+            gaps ^= low
+
+    for j in range(1, cap + 1):
+        # after this layer, a state of size above limit has no room for
+        # any part j+1..cap, so it is settled instead of kept
+        limit = n_max - j - 1 if j < cap else -1
+        for s in range(n_max - j, -1, -1):
+            for mask, w in live[s].items():
+                t, m = s, 0
+                while t + j <= n_max:
+                    t += j
+                    m += 1
+                    mask |= mask << j & full
+                    w //= j * m
+                    if t > limit:
+                        settle(t, mask, w)
+                    else:
+                        layer = live[t]
+                        layer[mask] = layer.get(mask, 0) + w
+            if s > limit:
+                for mask, w in live[s].items():
+                    settle(s, mask, w)
+                live[s] = {}
+
+    # big[r]: permutations of r points whose cycles are all longer than cap
+    big = [1] + [0] * n_max
+    for r in range(cap + 1, n_max + 1):
+        big[r] = sum(
+            fact[r - 1] // fact[r - length] * big[r - length]
+            for length in range(cap + 1, r + 1)
+        )
+    counts = []
+    for n in range(n_max + 1):
+        row = [0] * (min(cap, n) + 1)
+        for s in range(n + 1):
+            if big[n - s]:
+                scale, div = fact[n] * big[n - s], fact[n_max] * fact[n - s]
+                for k in range(len(row)):
+                    row[k] += (weight[s] - missing[s][k]) * scale // div
+        counts.append(row)
     return counts
 
 

@@ -1,6 +1,8 @@
 """Finite engine: count table, exact probabilities, exceptional pairs.
 
-The partition stream tested first is the count table's oracle.
+The count table has two oracles: the partition stream tested first,
+with one knapsack per partition, and the former all-k programme over
+untrimmed achievable-sum masks, ``mask_fixing_count_table``.
 """
 
 from decimal import Decimal, localcontext
@@ -21,9 +23,11 @@ from ksetfix.finite import (
 from ksetfix.limits import evaluate, limiting_survival
 
 from reference_data import (
+    LIMIT_TABLE_8DP,
     brute_fix_fractions,
     brute_partitions,
     load_golden_finite,
+    mask_fixing_count_table,
     partition_count_recurrence,
     partition_fixing_counts,
     partitions_of,
@@ -81,6 +85,13 @@ def test_count_table_matches_partition_oracle_every_cap(n_max):
 )
 def test_count_table_matches_partition_oracle(n_max, cap):
     check_table_against_oracle(n_max, cap)
+
+
+@pytest.mark.parametrize(
+    "n_max,cap", [(50, 25), pytest.param(70, 35, marks=pytest.mark.longrun)]
+)
+def test_count_table_matches_mask_oracle(n_max, cap):
+    assert fixing_count_table(n_max, cap) == mask_fixing_count_table(n_max, cap)
 
 
 def test_simple_exact_values():
@@ -229,16 +240,21 @@ def cauchy_gap_bound(n: int, k: int) -> Fraction:
     return near + 1 - lo * sum(a)
 
 
-@pytest.mark.parametrize("n", [50, 70])
+@pytest.mark.parametrize("n", [50, 70, 150])
 def test_finite_within_cauchy_bound_of_limit(n):
     # ties the exact finite engine to the certified limiting evaluation
     # without sampling; the 40-place value is within 10**-40 of i(inf,k)
-    for k in range(1, 11):
+    for k in range(1, 13 if n == 150 else 11):
         finite = finite_fix_probability(n, k).fix_probability
         limit = evaluate(limiting_survival(k), 40).complement()
         gap = abs(finite - Fraction(limit.scaled, 10**40))
         bound = cauchy_gap_bound(n, k)
         assert gap <= bound + Fraction(1, 10**40), (n, k, float(gap), float(bound))
+        # at n = 150 the bound is under 1.3e-11 for every k <= 12, so the
+        # finite engine recomputes the reference i(inf,k) to 8 places
+        if n == 150:
+            assert bound < Fraction(13, 10**12), k
+            assert format_probability(finite, 8) == LIMIT_TABLE_8DP[k][0], k
     # at n = 70 the bound ties the engines to 8 places or better for k <= 7
     if n == 70:
         assert cauchy_gap_bound(n, 7) < Fraction(1, 10**7)
