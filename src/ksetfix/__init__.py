@@ -18,54 +18,54 @@ The package ships the engines only. The slow paths that the tests use as
 references (row-by-row weights, products of exponential polynomials,
 per-term ``Fraction`` exponents, centralizer orders) live with the tests,
 in ``tests/reference_data.py``.
+
+``import ksetfix`` loads no engine: each public name below is resolved
+on first use (PEP 562), importing only the module that defines it.
 """
 
-from .exppoly import ExpPoly
-from .finite import (
-    FiniteResult,
-    exceptions,
-    finite_fix_probability,
-    finite_table,
-    fixing_count_table,
-    fixing_counts,
-)
-from .limits import (
-    HighPrecisionDecimal,
-    decay_exponent,
-    efg_ratio,
-    evaluate,
-    limiting_fix_probability,
-    limiting_survival,
-    limiting_survival_with_stats,
-)
-from .montecarlo import McEstimate, sample_finite_fix, sample_limit_survival
-from .partitions import divisibility_free, is_k_free, universality_index
-from .table import TableStats, enumerate_rows, rows_count
+import importlib
 
-__all__ = [
-    "ExpPoly",
-    "FiniteResult",
-    "HighPrecisionDecimal",
-    "McEstimate",
-    "TableStats",
-    "decay_exponent",
-    "divisibility_free",
-    "efg_ratio",
-    "enumerate_rows",
-    "evaluate",
-    "exceptions",
-    "finite_fix_probability",
-    "finite_table",
-    "fixing_count_table",
-    "fixing_counts",
-    "is_k_free",
-    "limiting_fix_probability",
-    "limiting_survival",
-    "limiting_survival_with_stats",
-    "rows_count",
-    "sample_finite_fix",
-    "sample_limit_survival",
-    "universality_index",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "ExpPoly": "exppoly",
+    "FiniteResult": "finite",
+    "exceptions": "finite",
+    "finite_fix_probability": "finite",
+    "finite_table": "finite",
+    "fixing_count_table": "finite",
+    "fixing_counts": "finite",
+    "HighPrecisionDecimal": "limits",
+    "decay_exponent": "limits",
+    "efg_ratio": "limits",
+    "evaluate": "limits",
+    "limiting_fix_probability": "limits",
+    "limiting_survival": "limits",
+    "limiting_survival_with_stats": "limits",
+    "McEstimate": "montecarlo",
+    "sample_finite_fix": "montecarlo",
+    "sample_limit_survival": "montecarlo",
+    "divisibility_free": "partitions",
+    "is_k_free": "partitions",
+    "universality_index": "partitions",
+    "TableStats": "table",
+    "enumerate_rows": "table",
+    "rows_count": "table",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,7 +3,9 @@
 All output is plain UTF-8 text with LF line endings and is byte
 deterministic given the flags and seed. Every command that computes
 probabilities accepts --jobs (or KSETFIX_JOBS) and ignores it: both
-engines run serially.
+engines run serially. Each command imports its engine in its body, on
+first use, so a command loads only the engine it runs and ``--help``
+loads none.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 """
 
@@ -12,8 +14,6 @@ from __future__ import annotations
 import sys
 
 import click
-
-from . import finite, limits, montecarlo
 
 _JOBS_ENV = "KSETFIX_JOBS"
 
@@ -56,6 +56,8 @@ def main() -> None:
 @jobs_option
 def limit(k: int, digits: int, emit_rows: str | None, jobs: int) -> None:
     """Limiting probabilities for one k, with table diagnostics."""
+    from . import limits
+
     if emit_rows is None:
         survival, stats = limits.limiting_survival_checked(k)
     else:
@@ -82,6 +84,8 @@ def limit(k: int, digits: int, emit_rows: str | None, jobs: int) -> None:
 @jobs_option
 def limit_table(k_max: int, digits: int, output: str | None, jobs: int) -> None:
     """CSV of limiting fix probabilities and row counts for k <= k-max."""
+    from . import limits
+
     lines = ["k,i_inf,rows"]
     for k in range(1, k_max + 1):
         survival, stats = limits.limiting_survival_checked(k)
@@ -106,6 +110,8 @@ def finite_table(
     output: str | None, jobs: int,
 ) -> None:
     """CSV (n,k,value) of finite probabilities for 2 <= n <= n-max, k <= n/2."""
+    from . import finite
+
     rows = list(finite.finite_table(n_max, k_max, digits, survival=which == "p"))
     if not wide:
         lines = ["n,k,value"] + [f"{n},{k},{value}" for n, k, value in rows]
@@ -132,6 +138,8 @@ def finite_table(
 @output_option
 def exceptions_cmd(n_max: int, output: str | None) -> None:
     """Pairs (n,k) where the fixing probability increases from k to k+1."""
+    from . import finite
+
     pairs = sorted(finite.exceptions(n_max))
     _echo_lines([f"{n},{k}" for n, k in pairs], output)
 
@@ -143,6 +151,8 @@ def exceptions_cmd(n_max: int, output: str | None) -> None:
 @jobs_option
 def ratio(k_max: int, digits: int, output: str | None, jobs: int) -> None:
     """CSV of i(k) over the comparison curve k^-d (ln k)^-3/2, for 2 <= k <= k-max."""
+    from . import limits
+
     lines = ["k,ratio"]
     for k in range(2, k_max + 1):
         lines.append(f"{k},{limits.efg_ratio(k, digits)}")
@@ -157,6 +167,8 @@ def ratio(k_max: int, digits: int, output: str | None, jobs: int) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def mc(k: int, n: int | None, samples: int, seed: int) -> None:
     """Monte Carlo estimate of the survival (limit) or fixing (finite) probability."""
+    from . import montecarlo
+
     if n is None:
         est = montecarlo.sample_limit_survival(k, samples, seed)
         label = f"survival(k={k})"

@@ -10,8 +10,9 @@ of n, with denominator dividing n!.
 Partitions are never built. For one k, :func:`survival_counts` folds
 the cycle lengths j < k into states (size, achievable-sum mask) -> sum
 of n_max!/z, an integer. A k-cycle always fixes a k-subset, and longer
-cycles, which lie in none, fill the remaining points in closed form, so
-one run serves every n <= n_max. Tables over several k run it per k.
+cycles, which lie in none, fill the remaining points, counted by a
+two-term recurrence, so one run serves every n <= n_max. Tables over
+several k run it per k.
 """
 
 from __future__ import annotations
@@ -77,13 +78,14 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     for s, states in enumerate(live):  # left after part k-1, or k = 1
         total[s] += sum(states.values())
 
-    # big[r]: permutations of r points whose cycles are all longer than k
+    # big[r]: permutations of r points whose cycles are all longer than k.
+    # Deleting point r from its cycle leaves such a permutation of r - 1
+    # points (r - 1 places to put r back), unless that cycle has length
+    # k + 1: then it is the cycle's other k points, in order, and such a
+    # permutation of the remaining r - 1 - k points
     big = [1] + [0] * n_max
     for r in range(k + 1, n_max + 1):
-        big[r] = sum(
-            fact[r - 1] // fact[r - length] * big[r - length]
-            for length in range(k + 1, r + 1)
-        )
+        big[r] = (r - 1) * big[r - 1] + fact[r - 1] // fact[r - 1 - k] * big[r - 1 - k]
     return [
         sum(
             total[s] * fact[n] * big[n - s] // (fact[n_max] * fact[n - s])

@@ -8,10 +8,12 @@ requested with ``pytest -m longrun``.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from click.testing import CliRunner
 
+from ksetfix import finite
 from ksetfix.cli import main as cli_main
 from ksetfix.exppoly import ExpPoly
 from ksetfix.finite import (
@@ -112,6 +114,22 @@ def test_criterion_04_k4_closed_form(survival):
     report("criterion 04: k=4 closed form to 12 places and row values", failures)
 
 
+@pytest.fixture(scope="module")
+def cached_count_table():
+    return cache(finite.fixing_count_table)
+
+
+@pytest.fixture
+def shared_count_tables(monkeypatch, cached_count_table):
+    """finite_table and exceptions build each (n_max, cap) count table once.
+
+    Both variants of criterion 05's n <= 70 tables and criterion 06's
+    exceptions(70) read the same table; the callers only read it, so one
+    shared copy serves all three.
+    """
+    monkeypatch.setattr(finite, "fixing_count_table", cached_count_table)
+
+
 def check_finite_range(n_lo: int, n_hi: int) -> list:
     golden_fix = load_golden_finite("fix")
     golden_surv = load_golden_finite("survival")
@@ -134,14 +152,14 @@ def check_finite_range(n_lo: int, n_hi: int) -> list:
     return failures
 
 
-def test_criterion_05_finite_tables_fast_tier():
+def test_criterion_05_finite_tables_fast_tier(shared_count_tables):
     report(
         "criterion 05: finite tables n <= 40 at 5 places, both variants",
         check_finite_range(2, 40),
     )
 
 
-def test_criterion_05_finite_tables_long_tier():
+def test_criterion_05_finite_tables_long_tier(shared_count_tables):
     report(
         "criterion 05: finite tables 41 <= n <= 70 at 5 places, both variants",
         check_finite_range(41, 70),
@@ -157,7 +175,7 @@ def test_criterion_06_exceptional_pairs():
     report("criterion 06: rising pairs up to n = 48", failures)
 
 
-def test_criterion_06_exceptional_pairs_long_tier():
+def test_criterion_06_exceptional_pairs_long_tier(shared_count_tables):
     failures = []
     got = exceptions(70)
     if got != RISING_PAIRS_70:

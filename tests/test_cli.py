@@ -1,4 +1,5 @@
-"""Command-line surface: formats, golden lines, exit codes, determinism."""
+"""Command-line surface: formats, golden lines, exit codes, determinism,
+and the modules each command (or ``import ksetfix``) loads."""
 
 import hashlib
 
@@ -256,20 +257,20 @@ def test_jobs_flag_byte_identical(runner, tmp_path):
 def test_internal_invariant_maps_to_exit_three(monkeypatch):
     import sys
 
-    from ksetfix import cli
+    from ksetfix import cli, limits
 
     def broken(k):
         raise AssertionError("forced for the exit-code test")
 
-    monkeypatch.setattr(cli.limits, "limiting_survival_with_stats", broken)
+    monkeypatch.setattr(limits, "limiting_survival_with_stats", broken)
     monkeypatch.setattr(sys, "argv", ["ksetfix", "limit", "--k", "3"])
     with pytest.raises(SystemExit) as excinfo:
         cli.run()
     assert excinfo.value.code == 3
 
 
-def run_with_broken_guard(*args):
-    """Run the CLI under python -O with evaluate's guard digits negative."""
+def run_script(script, *argv, flags=()):
+    """Run ``script`` in a fresh interpreter that imports this ksetfix."""
     import os
     import subprocess
     import sys
@@ -277,19 +278,24 @@ def run_with_broken_guard(*args):
 
     import ksetfix
 
+    src = str(Path(ksetfix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def run_with_broken_guard(*args):
+    """Run the CLI under python -O with evaluate's guard digits negative."""
     script = (
         "import sys\n"
         "from ksetfix import cli, limits\n"
         "limits._EVAL_GUARD = -10\n"
-        f"sys.argv = ['ksetfix', *{list(args)!r}]\n"
+        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
         "cli.run()\n"
     )
-    src = str(Path(ksetfix.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return run_script(script, *args, flags=("-O",))
 
 
 def test_invariant_checks_survive_optimize_flag():
@@ -305,6 +311,64 @@ def test_ratio_budget_check_survives_optimize_flag():
     proc = run_with_broken_guard("ratio", "--k-max", "3")
     assert proc.returncode == 3, proc.stderr
     assert "error budget" in proc.stderr
+
+
+# the ksetfix modules a fresh interpreter holds after one command; each
+# command imports only its own engine, and --help imports none
+BASE_MODULES = {"ksetfix", "ksetfix.cli"}
+COMMAND_MODULES = {
+    "help": (["limit-table", "--help"], set()),
+    "mc": (["mc", "--k", "3", "--samples", "10"], {"montecarlo", "partitions"}),
+    "finite-table": (
+        ["finite-table", "--n-max", "6"], {"finite", "precision", "partitions"}
+    ),
+    "limit": (["limit", "--k", "3"], {"limits", "table", "exppoly", "precision"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_imports_only_its_engine(command):
+    args, engine = COMMAND_MODULES[command]
+    script = (
+        "import sys\n"
+        "from ksetfix import cli\n"
+        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
+        "try:\n"
+        "    cli.run()\n"
+        "finally:\n"
+        "    print(*sorted(m for m in sys.modules\n"
+        "                  if m.startswith('ksetfix') or m in ('decimal', 'fractions')))\n"
+    )
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    want = BASE_MODULES | {"ksetfix." + name for name in engine}
+    assert {m for m in loaded if m.startswith("ksetfix")} == want
+    if command == "mc":
+        # the samplers use floats only
+        assert not loaded & {"decimal", "fractions"}
+
+
+def test_package_names_resolve_lazily():
+    script = (
+        "import sys\n"
+        "import ksetfix\n"
+        "def loaded():\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith('ksetfix')))\n"
+        "loaded()\n"
+        "ksetfix.is_k_free\n"
+        "loaded()\n"
+    )
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ksetfix", "ksetfix ksetfix.partitions"]
+
+    import ksetfix
+
+    for name in ksetfix.__all__:
+        assert getattr(ksetfix, name).__module__.startswith("ksetfix."), name
+    with pytest.raises(AttributeError):
+        ksetfix.no_such_name
 
 
 def test_csv_digits_consistent_with_higher_precision(runner):

@@ -240,20 +240,31 @@ def cauchy_gap_bound(n: int, k: int) -> Fraction:
     return near + 1 - lo * sum(a)
 
 
-@pytest.mark.parametrize("n", [50, 70, 150])
+# n -> (largest k, and the bound every k must get under, if any); under
+# it the finite engine recomputes the reference i(inf,k) to 8 places
+CAUCHY_CASES = {
+    50: (10, None),
+    70: (10, None),
+    150: (12, Fraction(13, 10**12)),
+    250: (15, Fraction(1, 10**17)),
+}
+
+
+@pytest.mark.parametrize(
+    "n", [50, 70, 150, pytest.param(250, marks=pytest.mark.longrun)]
+)
 def test_finite_within_cauchy_bound_of_limit(n):
     # ties the exact finite engine to the certified limiting evaluation
     # without sampling; the 40-place value is within 10**-40 of i(inf,k)
-    for k in range(1, 13 if n == 150 else 11):
+    k_max, tight = CAUCHY_CASES[n]
+    for k in range(1, k_max + 1):
         finite = finite_fix_probability(n, k).fix_probability
         limit = evaluate(limiting_survival(k), 40).complement()
         gap = abs(finite - Fraction(limit.scaled, 10**40))
         bound = cauchy_gap_bound(n, k)
         assert gap <= bound + Fraction(1, 10**40), (n, k, float(gap), float(bound))
-        # at n = 150 the bound is under 1.3e-11 for every k <= 12, so the
-        # finite engine recomputes the reference i(inf,k) to 8 places
-        if n == 150:
-            assert bound < Fraction(13, 10**12), k
+        if tight is not None:
+            assert bound < tight, k
             assert format_probability(finite, 8) == LIMIT_TABLE_8DP[k][0], k
     # at n = 70 the bound ties the engines to 8 places or better for k <= 7
     if n == 70:
