@@ -14,10 +14,11 @@ The package computes, in exact arithmetic throughout:
   k per run, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.
 
-The package ships the engines only. The slow paths that the tests use as
-references (row-by-row weights, products of exponential polynomials,
-per-term ``Fraction`` exponents, centralizer orders) live with the tests,
-in ``tests/reference_data.py``.
+The first two grow and trim their masks by one step,
+``partitions.part_ladder``. The package ships the engines only. The slow
+paths that the tests use as references (row-by-row weights, products of
+exponential polynomials, per-term ``Fraction`` exponents, centralizer
+orders) live with the tests, in ``tests/reference_data.py``.
 
 ``import ksetfix`` loads no engine: each public name below is resolved
 on first use (PEP 562), importing only the module that defines it.

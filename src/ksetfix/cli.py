@@ -1,11 +1,11 @@
 """Command-line interface: tables, listings and Monte Carlo checks.
 
 All output is plain UTF-8 text with LF line endings and is byte
-deterministic given the flags and seed. Every command that computes
-probabilities accepts --jobs (or KSETFIX_JOBS) and ignores it: both
-engines run serially. Each command imports its engine in its body, on
-first use, so a command loads only the engine it runs and ``--help``
-loads none.
+deterministic given the flags and seed. limit, limit-table, finite-table
+and ratio accept --jobs (or KSETFIX_JOBS) and ignore it: both engines
+run serially. Each command imports its engine in its body, on first
+use, so a command loads only the engine it runs and ``--help`` loads
+none.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 """
 

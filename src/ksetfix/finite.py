@@ -44,8 +44,9 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     achievable-sum mask) weighted by n_max!/z; the m-th copy of j divides
     the weight by j*m, which is always exact. A state is dropped once bit
     k is set, and after part j keeps only the bits below k - j, by the
-    rule of :func:`ksetfix.limits.limiting_survival_with_stats`. A state
-    with no room for part j+1 is final and goes into its size's total.
+    rule of :func:`ksetfix.partitions.part_ladder`, inline here as calls
+    cost more at about 1.8 parts per state. A state with no room for
+    part j+1 is final and goes into its size's total.
     """
     if not 1 <= k <= n_max:
         raise ValueError("need 1 <= k <= n_max")
@@ -86,12 +87,10 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     big = [1] + [0] * n_max
     for r in range(k + 1, n_max + 1):
         big[r] = (r - 1) * big[r - 1] + fact[r - 1] // fact[r - 1 - k] * big[r - 1 - k]
+    # each term is total[s] s!/n_max!, an integer, times C(n, s) big[n - s]
     return [
-        sum(
-            total[s] * fact[n] * big[n - s] // (fact[n_max] * fact[n - s])
-            for s in range(n + 1)
-            if big[n - s]
-        )
+        sum(total[s] * (fact[n] // fact[n - s]) * big[n - s] for s in range(n + 1))
+        // fact[n_max]
         for n in range(n_max + 1)
     ]
 

@@ -57,6 +57,7 @@ from decimal import Context, Decimal
 from math import factorial
 
 from .exppoly import ExpPoly
+from .partitions import part_ladder
 from .precision import (
     _context,
     _scaled,
@@ -109,16 +110,10 @@ def limiting_survival(k: int) -> ExpPoly:
 def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
     """Like :func:`limiting_survival`, also returning the number of k-free rows.
 
-    After position j, the later positions test bits k - i*j' (j' > j) of
-    the achievable sums and :func:`_expand_groups` reads bits k - j' for
-    j' > k/2, all below k - j. So the next states keep only those bits
-    and more prefixes share a state: the rule by which the row counting
-    programme of :mod:`ksetfix.table` trims its keys.
+    Its states hold sums trimmed by :func:`~ksetfix.partitions.part_ladder`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    kbit = 1 << k
-    below_k = kbit - 1
     common = 1
     # achievable-sum mask -> {exponent mask: numerator over common}
     states: dict[int, dict[int, int]] = {1: {0: 1}}
@@ -131,18 +126,11 @@ def limiting_survival_with_stats(k: int) -> tuple[ExpPoly, int]:
         scale = [w // (j**m * factorial(m)) for m in range(b + 1)]
         capped = k % j != 0  # then m = b reaches floor(k/j)
         tail = sum(scale[:b])  # w * sum_{i<floor(k/j)} 1/(j^i i!)
-        keep = (1 << (k - j)) - 1
         nxt: dict[int, dict[int, int]] = {}
         nxt_rows: dict[int, int] = {}
         for reach, nums in states.items():
             count = rows[reach]
-            for m in range(b + 1):
-                if m:
-                    reach |= reach << j
-                    if reach & kbit:
-                        break
-                    reach &= below_k
-                key = reach & keep
+            for m, key in enumerate(part_ladder(reach, j, k)):
                 out = nxt.setdefault(key, {})
                 nxt_rows[key] = nxt_rows.get(key, 0) + count
                 if capped and m == b:

@@ -20,6 +20,8 @@ k // j copies of each size, as more cannot add a size <= k). The sample
 is k-free iff bit k stays clear. This decides exactly what
 :func:`ksetfix.partitions.is_k_free` decides on the drawn vector, from
 the same stream, so the estimates do not depend on which route runs.
+The step runs once per drawn part, so it stays inline rather than
+calling :func:`ksetfix.partitions.part_ladder`, which gives its rule.
 
 Estimates come with the binomial standard error sqrt(p(1-p)/S).
 """

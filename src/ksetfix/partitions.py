@@ -11,9 +11,10 @@ The k-free decision is layered: a cheap prefix-sum criterion certifies
 that every size up to some threshold is achievable, a divisibility
 criterion certifies k-freeness outright for some inputs, and a bounded
 knapsack over a bit vector settles the rest. No command calls these
-tests at run time: the row table, the finite engine and the Monte Carlo
-samplers carry achievable-sum masks of their own. ``is_k_free`` is the
-public API, and the oracle the tests hold those masks to.
+tests at run time: the engines carry achievable-sum masks of their own,
+and ``is_k_free`` is the public API and their test oracle.
+:func:`part_ladder` is run-time code: the limiting programme and the
+row table grow and trim their masks by it.
 """
 
 from __future__ import annotations
@@ -92,3 +93,26 @@ def is_k_free(k: int, ms: Multiplicities) -> bool:
         return True
     return not achievable_sizes_mask(ms, k) >> k & 1
 
+
+def part_ladder(reach: int, j: int, k: int) -> list[int]:
+    """Entry m: the sums ``reach`` with m parts j added, below bit k - j.
+
+    ``reach`` is the achievable-sum mask of a prefix of parts below j,
+    and m runs up to (k-1)//j. The list ends before the first m whose
+    sums hold k, so a ``reach`` that already holds k gives ``[]``.
+
+    Trimming: later parts j' > j test bits k - i*j' (i >= 1), and the
+    limiting closed form for j' > k/2 reads bits k - j', all below k - j,
+    so prefixes that differ only in higher bits can share a state. The
+    test for k here reads bits k - i*j <= k - j of ``reach``, so a mask
+    trimmed after part j - 1 gives the same list.
+    """
+    kbit = 1 << k
+    keep = (1 << (k - j)) - 1
+    ladder = []
+    for _ in range((k - 1) // j + 1):
+        if reach & kbit:
+            break
+        ladder.append(reach & keep)
+        reach |= reach << j
+    return ladder

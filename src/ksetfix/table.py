@@ -15,8 +15,8 @@ k-free without a retest. Each try is classified by the three-stage test
 of :mod:`ksetfix.partitions` and counted in :class:`TableStats`:
 rejected as reaching size k with everything below achievable
 (universality), accepted by the divisibility criterion, or settled by
-the knapsack bit vector. The stage outcomes agree with the plain
-module-level functions.
+:func:`~ksetfix.partitions.part_ladder`'s achievable sums. The stage
+outcomes agree with the plain module-level functions.
 
 Two drivers run the step. With a consumer, :func:`enumerate_rows` is a
 depth-first recursion over it that emits every row. Without one, no row
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator
+
+from .partitions import part_ladder
 
 RowSink = Callable[[tuple[int, ...]], None]
 Key = tuple[int, int, int]
@@ -78,31 +80,19 @@ def _divisor_masks(k: int) -> tuple[int, list[int]]:
 
 
 def _descend(
-    k: int,
-    j: int,
-    key: Key,
-    keep: int,
-    div_of: list[int],
-    stats: TableStats,
-    count: int,
+    k: int, j: int, key: Key, div_of: list[int], stats: TableStats, count: int
 ) -> Iterator[tuple[int, Key]]:
     """Classify position j after ``count`` prefixes with ``key``; yield the children.
 
-    A key is (achievable sums, usable divisors dividing every part,
-    running size while no position u has a running size below u, else
-    -1). The step tries m = floor((k-1)/j) down to 0, adds ``count`` to
-    the counters of each try, and yields (m, child key) for the accepted
-    m and every smaller m, with the child's achievable sums ANDed with
-    ``keep``.
+    A key is (achievable sums trimmed by :func:`part_ladder`, usable
+    divisors dividing every part, running size while no position u has a
+    running size below u, else -1). The step tries m = floor((k-1)/j)
+    down to 0, adds ``count`` to the counters of each try, and yields
+    (m, child key) for the accepted m and every smaller m.
     """
     reach, compat, size = key
-    kbit = 1 << k
-    full = (1 << (k + 1)) - 1
     ub = position_bound(k, j)
-    ladder = [reach]  # ladder[m]: achievable sums after m parts j
-    for _ in range(ub):
-        prev = ladder[-1]
-        ladder.append(prev | (prev << j) & full)
+    ladder = part_ladder(reach, j, k)  # the m for which k stays unreachable
     div = div_of[j]
     for top in range(ub, -1, -1):
         stats.partials_considered += count
@@ -114,14 +104,14 @@ def _descend(
             stats.pruned_divisibility += count
             break
         stats.full_tests += count
-        if not ladder[top] & kbit:
+        if top < len(ladder):
             break
     else:
         raise AssertionError("m=0 must keep a k-free prefix k-free")
     for m in range(top, -1, -1):
         sz = size + j * m
         yield m, (
-            ladder[m] & keep,
+            ladder[m],
             compat & div if m else compat,
             sz if size >= 0 and sz >= j else -1,
         )
@@ -140,7 +130,6 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
         return _count_rows(k)
     stats = TableStats()
     usable_d, div_of = _divisor_masks(k)
-    full = (1 << (k + 1)) - 1
     row: list[int] = []
 
     def walk(j: int, key: Key) -> None:
@@ -148,7 +137,7 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
             consumer(tuple(row))
             stats.rows_emitted += 1
             return
-        for m, child in _descend(k, j, key, full, div_of, stats, 1):
+        for m, child in _descend(k, j, key, div_of, stats, 1):
             row.append(m)
             walk(j + 1, child)
             row.pop()
@@ -163,19 +152,15 @@ def _count_rows(k: int) -> TableStats:
     The walk calls :func:`_descend` once on every k-free prefix, and what
     the step counts and yields depends only on the prefix's key. So the
     programme keeps the number of prefixes per key and runs the step once
-    per key, weighting each counter with that number. After position j,
-    the full tests of later positions j' read only bits k - i*j' (i >= 1)
-    of the achievable sums, all below k - j, so the higher bits are
-    dropped and more prefixes share a key.
+    per key, weighting each counter with that number.
     """
     stats = TableStats()
     usable_d, div_of = _divisor_masks(k)
     states = {(1, usable_d, 0): 1}
     for j in range(1, k):
-        keep = (1 << (k - j)) - 1
         nxt: dict[Key, int] = {}
         for key, count in states.items():
-            for _, child in _descend(k, j, key, keep, div_of, stats, count):
+            for _, child in _descend(k, j, key, div_of, stats, count):
                 nxt[child] = nxt.get(child, 0) + count
         states = nxt
     stats.rows_emitted = sum(states.values())

@@ -322,7 +322,10 @@ COMMAND_MODULES = {
     "finite-table": (
         ["finite-table", "--n-max", "6"], {"finite", "precision", "partitions"}
     ),
-    "limit": (["limit", "--k", "3"], {"limits", "table", "exppoly", "precision"}),
+    "limit": (
+        ["limit", "--k", "3"],
+        {"limits", "table", "exppoly", "precision", "partitions"},
+    ),
 }
 
 

@@ -6,7 +6,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from ksetfix.partitions import divisibility_free, is_k_free, universality_index
+from ksetfix.partitions import (
+    achievable_sizes_mask,
+    divisibility_free,
+    is_k_free,
+    part_ladder,
+    universality_index,
+)
 
 from reference_data import (
     brute_subpartition_sums,
@@ -121,6 +127,25 @@ def test_sums_always_contain_zero_and_respect_cap(partition_corpus):
 @given(small_ms, st.integers(min_value=1, max_value=12))
 def test_is_k_free_matches_brute_force_random(ms, k):
     assert is_k_free(k, ms) == (k not in brute_subpartition_sums(ms))
+
+
+@given(st.data(), st.integers(min_value=2, max_value=16))
+def test_part_ladder_matches_the_knapsack(data, k):
+    # prefixes of parts below j, then m = 0, 1, ... parts j
+    j = data.draw(st.integers(min_value=1, max_value=k - 1))
+    ms = data.draw(st.lists(st.integers(0, 4), min_size=j - 1, max_size=j - 1))
+    reach = achievable_sizes_mask(ms, k)
+    ladder = part_ladder(reach, j, k)
+    bound = (k - 1) // j
+    masks = [achievable_sizes_mask([*ms, m], k) for m in range(bound + 1)]
+    reaching = [m for m, mask in enumerate(masks) if mask >> k & 1]
+    assert len(ladder) == (reaching[0] if reaching else bound + 1)
+    keep = (1 << (k - j)) - 1
+    assert ladder == [mask & keep for mask in masks[: len(ladder)]]
+    if not reach >> k & 1:
+        # a k-free prefix's sums trimmed after part j - 1 give the same ladder
+        assert part_ladder(reach & (keep << 1 | 1), j, k) == ladder
+    assert part_ladder(reach | 1 << k, j, k) == []
 
 
 @given(small_ms, st.integers(min_value=0, max_value=3))

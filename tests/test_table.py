@@ -152,7 +152,7 @@ def test_descend_rejects_a_prefix_that_is_not_k_free():
     usable_d, div_of = _divisor_masks(k)
     key = (1 | 1 << k, 0, -1)
     with pytest.raises(AssertionError, match="m=0"):
-        list(_descend(k, 1, key, (1 << (k + 1)) - 1, div_of, TableStats(), 1))
+        list(_descend(k, 1, key, div_of, TableStats(), 1))
 
 
 def test_deterministic_repeat_runs():
