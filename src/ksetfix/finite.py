@@ -9,10 +9,10 @@ of n, with denominator dividing n!.
 
 Partitions are never built. For one k, :func:`survival_counts` folds
 the cycle lengths j < k into states (size, achievable-sum mask) -> sum
-of n_max!/z, an integer. A k-cycle always fixes a k-subset, and longer
-cycles, which lie in none, fill the remaining points, counted by a
-two-term recurrence, so one run serves every n <= n_max. Tables over
-several k run it per k.
+of n_max!/z, an integer. A k-cycle always fixes a k-subset; longer
+cycles lie in none, so they are folded in over sizes alone, with the
+same weights. One run serves every n <= n_max; tables over several k
+run it per k.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     k is set, and after part j keeps only the bits below k - j, by the
     rule of :func:`ksetfix.partitions.part_ladder`, inline here as calls
     cost more at about 1.8 parts per state. A state with no room for
-    part j+1 is final and goes into its size's total.
+    part j+1 is final and goes into its size's total. Parts j > k are
+    then folded into these totals by the same weight rule, and alive[n]
+    is total[n] scaled from n_max! down to n!.
     """
     if not 1 <= k <= n_max:
         raise ValueError("need 1 <= k <= n_max")
@@ -78,21 +80,16 @@ def survival_counts(n_max: int, k: int) -> list[int]:
                     w //= j * m
     for s, states in enumerate(live):  # left after part k-1, or k = 1
         total[s] += sum(states.values())
-
-    # big[r]: permutations of r points whose cycles are all longer than k.
-    # Deleting point r from its cycle leaves such a permutation of r - 1
-    # points (r - 1 places to put r back), unless that cycle has length
-    # k + 1: then it is the cycle's other k points, in order, and such a
-    # permutation of the remaining r - 1 - k points
-    big = [1] + [0] * n_max
-    for r in range(k + 1, n_max + 1):
-        big[r] = (r - 1) * big[r - 1] + fact[r - 1] // fact[r - 1 - k] * big[r - 1 - k]
-    # each term is total[s] s!/n_max!, an integer, times C(n, s) big[n - s]
-    return [
-        sum(total[s] * (fact[n] // fact[n - s]) * big[n - s] for s in range(n + 1))
-        // fact[n_max]
-        for n in range(n_max + 1)
-    ]
+    # a length j > k adds only sums above k, so it never completes a sum of
+    # exactly k and the mask can go; each weight is n_max!/z of a partition
+    # of size at most n_max, so every division is exact
+    for j in range(k + 1, n_max + 1):
+        for s in range(n_max - j, -1, -1):
+            w = total[s]
+            for m, t in enumerate(range(s + j, n_max + 1, j), 1):
+                w //= j * m
+                total[t] += w
+    return [total[n] // (fact[n_max] // fact[n]) for n in range(n_max + 1)]
 
 
 def fixing_count_table(n_max: int, cap: int) -> list[list[int]]:

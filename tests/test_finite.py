@@ -8,7 +8,7 @@ untrimmed achievable-sum masks, ``mask_fixing_count_table``.
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -88,7 +88,13 @@ def test_count_table_matches_partition_oracle(n_max, cap):
 
 
 @pytest.mark.parametrize(
-    "n_max,cap", [(50, 25), pytest.param(70, 35, marks=pytest.mark.longrun)]
+    "n_max,cap",
+    [
+        (50, 25),
+        (120, 8),  # most cycle lengths exceed k
+        pytest.param(70, 35, marks=pytest.mark.longrun),
+        pytest.param(250, 10, marks=pytest.mark.longrun),
+    ],
 )
 def test_count_table_matches_mask_oracle(n_max, cap):
     assert fixing_count_table(n_max, cap) == mask_fixing_count_table(n_max, cap)
@@ -222,22 +228,37 @@ def cauchy_gap_bound(n: int, k: int) -> Fraction:
                                + 1 - e^{-H_k} sum_{s<=n} a_s,
 
     taken here at the worst end of the interval that holds e^{-H_k}.
+    Everything is summed in integers over n! times a denominator of that
+    interval, and one Fraction is built at the end.
     """
-    # s a_s = sum_{j<=min(k,s)} a_{s-j}, from A' = (sum_{j<=k} x^{j-1}) A
-    a = [Fraction(1)]
-    for s in range(1, n + 1):
-        a.append(sum(a[s - j] for j in range(1, min(k, s) + 1)) / s)
-    # r q(r) = sum_{k<j<=r} q(r-j): the cycle through one fixed point has
-    # length j > k, and is one of (r-1)!/(r-j)! such cycles
-    q = [Fraction(1)]
-    for r in range(1, n + 1):
-        q.append(sum((q[r - j] for j in range(k + 1, r + 1)), Fraction(0)) / r)
+    fact = [factorial(i) for i in range(n + 1)]
+
+    def count(lengths):
+        # c[r]: permutations of r points with every cycle length in lengths;
+        # the cycle through one fixed point has length j, and is one of
+        # (r-1)!/(r-j)! such cycles
+        c = [1]
+        for r in range(1, n + 1):
+            c.append(
+                sum(fact[r - 1] // fact[r - j] * c[r - j] for j in lengths if j <= r)
+            )
+        return c
+
+    A, Q = count(range(1, k + 1)), count(range(k + 1, n + 1))  # s! a_s, r! q(r)
     e, allowance = exp_neg_harmonic(k)
     lo, hi = e - allowance, e + allowance
+    d = lcm(lo.denominator, hi.denominator)
+    lo_d, hi_d = int(lo * d), int(hi * d)
+    # for x = lo d or hi d, a_s |q(n-s) - x/d| is
+    # A[s] C(n, s) |Q[n-s] d - x (n-s)!| / (n! d)
     near = sum(
-        a[s] * max(abs(q[n - s] - lo), abs(q[n - s] - hi)) for s in range(n + 1)
+        A[s]
+        * comb(n, s)
+        * max(abs(Q[n - s] * d - x * fact[n - s]) for x in (lo_d, hi_d))
+        for s in range(n + 1)
     )
-    return near + 1 - lo * sum(a)
+    mass = sum(A[s] * (fact[n] // fact[s]) for s in range(n + 1))  # n! sum a_s
+    return Fraction(near + fact[n] * d - lo_d * mass, fact[n] * d)
 
 
 # n -> (largest k, and the bound every k must get under, if any); under
@@ -250,9 +271,7 @@ CAUCHY_CASES = {
 }
 
 
-@pytest.mark.parametrize(
-    "n", [50, 70, 150, pytest.param(250, marks=pytest.mark.longrun)]
-)
+@pytest.mark.parametrize("n", sorted(CAUCHY_CASES))
 def test_finite_within_cauchy_bound_of_limit(n):
     # ties the exact finite engine to the certified limiting evaluation
     # without sampling; the 40-place value is within 10**-40 of i(inf,k)
