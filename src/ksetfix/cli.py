@@ -5,117 +5,109 @@ deterministic given the flags and seed. limit, limit-table, finite-table
 and ratio accept --jobs (or KSETFIX_JOBS) and ignore it: both engines
 run serially. Each command imports its engine in its body, on first
 use, so a command loads only the engine it runs and ``--help`` loads
-none.
+none. Arguments are parsed with the standard library's ``argparse``, so
+the CLI needs no third-party package.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
+
+``main`` is an object with a ``name`` and a ``main(args, prog_name)``
+method because that is the interface click's ``CliRunner`` calls: the
+tests and ``bench/tracer.py`` run commands in process through it. It can
+become a plain function once the tracer reads a run report instead.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 
-import click
-
 _JOBS_ENV = "KSETFIX_JOBS"
+
+
+def _int_range(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high] (no upper end if None)."""
+    bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    return parse
+
+
+def _writable_file(text: str) -> str:
+    """argparse type: a path that is not a directory and, if it exists, is writable."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise argparse.ArgumentTypeError(f"file {text!r} is not writable")
+    return text
 
 
 def _echo_lines(lines, output):
     text = "".join(line + "\n" for line in lines)
     if output is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside run(), not at exit
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
-jobs_option = click.option(
-    "--jobs",
-    type=click.IntRange(min=1),
-    default=1,
-    envvar=_JOBS_ENV,
-    show_default=True,
-    help=f"Accepted and ignored; every command runs serially (env {_JOBS_ENV}).",
-)
-output_option = click.option(
-    "--output", type=click.Path(dir_okay=False, writable=True), default=None,
-    help="Write to a file instead of stdout.",
-)
-
-
-@click.group()
-def main() -> None:
-    """Exact fix probabilities of random permutations on k-subsets."""
-
-
-@main.command()
-@click.option("--k", "k", type=click.IntRange(min=1), required=True)
-@click.option("--digits", type=click.IntRange(1, 50), default=8, show_default=True)
-@click.option(
-    "--emit-rows", "emit_rows", type=click.Path(dir_okay=False, writable=True),
-    default=None, help="Also write the k-free row stream, one CSV row per line.",
-)
-@jobs_option
-def limit(k: int, digits: int, emit_rows: str | None, jobs: int) -> None:
+def limit(args) -> None:
     """Limiting probabilities for one k, with table diagnostics."""
     from . import limits
 
-    if emit_rows is None:
+    k = args.k
+    if args.emit_rows is None:
         survival, stats = limits.limiting_survival_checked(k)
     else:
-        with open(emit_rows, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.emit_rows, "w", encoding="utf-8", newline="\n") as fh:
             survival, stats = limits.limiting_survival_checked(
                 k, lambda row: fh.write(",".join(map(str, row)) + "\n")
             )
-    surv = limits.evaluate(survival, digits)
+    surv = limits.evaluate(survival, args.digits)
     fix = surv.complement()
-    click.echo(f"k = {k}")
-    click.echo(f"i_inf = {fix}")
-    click.echo(f"p_inf = {surv}")
-    click.echo(f"rows = {stats.rows_emitted}")
-    click.echo(f"partials_considered = {stats.partials_considered}")
-    click.echo(f"pruned_universal = {stats.pruned_universal}")
-    click.echo(f"pruned_divisibility = {stats.pruned_divisibility}")
-    click.echo(f"full_tests = {stats.full_tests}")
+    _echo_lines([
+        f"k = {k}",
+        f"i_inf = {fix}",
+        f"p_inf = {surv}",
+        f"rows = {stats.rows_emitted}",
+        f"partials_considered = {stats.partials_considered}",
+        f"pruned_universal = {stats.pruned_universal}",
+        f"pruned_divisibility = {stats.pruned_divisibility}",
+        f"full_tests = {stats.full_tests}",
+    ], None)
 
 
-@main.command("limit-table")
-@click.option("--k-max", type=click.IntRange(min=1), required=True)
-@click.option("--digits", type=click.IntRange(1, 50), default=8, show_default=True)
-@output_option
-@jobs_option
-def limit_table(k_max: int, digits: int, output: str | None, jobs: int) -> None:
+def limit_table(args) -> None:
     """CSV of limiting fix probabilities and row counts for k <= k-max."""
     from . import limits
 
     lines = ["k,i_inf,rows"]
-    for k in range(1, k_max + 1):
+    for k in range(1, args.k_max + 1):
         survival, stats = limits.limiting_survival_checked(k)
-        fix = limits.evaluate(survival, digits).complement()
+        fix = limits.evaluate(survival, args.digits).complement()
         lines.append(f"{k},{fix},{stats.rows_emitted}")
-    _echo_lines(lines, output)
+    _echo_lines(lines, args.output)
 
 
-@main.command("finite-table")
-@click.option("--n-max", type=click.IntRange(min=2), required=True)
-@click.option("--k-max", type=click.IntRange(min=1), default=35, show_default=True)
-@click.option("--digits", type=click.IntRange(1, 50), default=5, show_default=True)
-@click.option(
-    "--which", type=click.Choice(["i", "p"]), default="i", show_default=True,
-    help="i: fixing probability, p: its complement.",
-)
-@click.option("--wide", is_flag=True, help="Pretty-print as an n-by-k matrix.")
-@output_option
-@jobs_option
-def finite_table(
-    n_max: int, k_max: int, digits: int, which: str, wide: bool,
-    output: str | None, jobs: int,
-) -> None:
+def finite_table(args) -> None:
     """CSV (n,k,value) of finite probabilities for 2 <= n <= n-max, k <= n/2."""
     from . import finite
 
-    rows = list(finite.finite_table(n_max, k_max, digits, survival=which == "p"))
-    if not wide:
+    digits = args.digits
+    rows = list(
+        finite.finite_table(args.n_max, args.k_max, digits, survival=args.which == "p")
+    )
+    if not args.wide:
         lines = ["n,k,value"] + [f"{n},{k},{value}" for n, k, value in rows]
-        _echo_lines(lines, output)
+        _echo_lines(lines, args.output)
         return
     width = digits + 3
     k_top = max(k for _, k, _ in rows)
@@ -130,66 +122,164 @@ def finite_table(
             str(n).rjust(4)
             + "".join(cells.get(k, "").rjust(width) for k in range(1, k_top + 1))
         )
-    _echo_lines(lines, output)
+    _echo_lines(lines, args.output)
 
 
-@main.command("exceptions")
-@click.option("--n-max", type=click.IntRange(min=4), required=True)
-@output_option
-def exceptions_cmd(n_max: int, output: str | None) -> None:
+def exceptions(args) -> None:
     """Pairs (n,k) where the fixing probability increases from k to k+1."""
     from . import finite
 
-    pairs = sorted(finite.exceptions(n_max))
-    _echo_lines([f"{n},{k}" for n, k in pairs], output)
+    pairs = sorted(finite.exceptions(args.n_max))
+    _echo_lines([f"{n},{k}" for n, k in pairs], args.output)
 
 
-@main.command()
-@click.option("--k-max", type=click.IntRange(min=2), required=True)
-@click.option("--digits", type=click.IntRange(1, 50), default=8, show_default=True)
-@output_option
-@jobs_option
-def ratio(k_max: int, digits: int, output: str | None, jobs: int) -> None:
+def ratio(args) -> None:
     """CSV of i(k) over the comparison curve k^-d (ln k)^-3/2, for 2 <= k <= k-max."""
     from . import limits
 
     lines = ["k,ratio"]
-    for k in range(2, k_max + 1):
-        lines.append(f"{k},{limits.efg_ratio(k, digits)}")
-    _echo_lines(lines, output)
+    for k in range(2, args.k_max + 1):
+        lines.append(f"{k},{limits.efg_ratio(k, args.digits)}")
+    _echo_lines(lines, args.output)
 
 
-@main.command()
-@click.option("--k", "k", type=click.IntRange(min=1), required=True)
-@click.option("--n", "n", type=click.IntRange(min=1), default=None,
-              help="Sample finite degree n instead of the limiting model.")
-@click.option("--samples", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def mc(k: int, n: int | None, samples: int, seed: int) -> None:
+def mc(args) -> None:
     """Monte Carlo estimate of the survival (limit) or fixing (finite) probability."""
     from . import montecarlo
 
+    k, n = args.k, args.n
     if n is None:
-        est = montecarlo.sample_limit_survival(k, samples, seed)
+        est = montecarlo.sample_limit_survival(k, args.samples, args.seed)
         label = f"survival(k={k})"
     else:
         if k > n:
-            raise click.UsageError("--k must not exceed --n")
-        est = montecarlo.sample_finite_fix(n, k, samples, seed)
+            args.error("--k must not exceed --n")
+        est = montecarlo.sample_finite_fix(n, k, args.samples, args.seed)
         label = f"fix(n={n}, k={k})"
-    click.echo(
+    _echo_lines([
         f"{label} = {est.estimate:.6f} +/- {est.std_error:.6f} "
         f"(samples={est.samples}, seed={est.seed})"
+    ], None)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The argument parser; built per call so it reads KSETFIX_JOBS at parse time."""
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Exact fix probabilities of random permutations on k-subsets.",
     )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        """The subcommand named after ``run``, with its docstring as help."""
+        sub = commands.add_parser(
+            run.__name__.replace("_", "-"), help=run.__doc__,
+            description=run.__doc__, allow_abbrev=False,
+        )
+        sub.set_defaults(run=run, error=sub.error)
+        return sub
+
+    def digits(sub, default):
+        sub.add_argument(
+            "--digits", type=_int_range(1, 50), default=default,
+            help="Decimal places, 1 to 50 (default: %(default)s).",
+        )
+
+    def output(sub):
+        sub.add_argument(
+            "--output", type=_writable_file, metavar="FILE",
+            help="Write to a file instead of stdout.",
+        )
+
+    def jobs(sub):
+        # a string default goes through type, so a bad KSETFIX_JOBS exits 2
+        sub.add_argument(
+            "--jobs", type=_int_range(1), default=os.environ.get(_JOBS_ENV, "1"),
+            help="Accepted and ignored; every command runs serially "
+            f"(env {_JOBS_ENV}; default: %(default)s).",
+        )
+
+    sub = command(limit)
+    sub.add_argument("--k", type=_int_range(1), required=True)
+    digits(sub, 8)
+    sub.add_argument(
+        "--emit-rows", type=_writable_file, metavar="FILE",
+        help="Also write the k-free row stream, one CSV row per line.",
+    )
+    jobs(sub)
+
+    sub = command(limit_table)
+    sub.add_argument("--k-max", type=_int_range(1), required=True)
+    digits(sub, 8)
+    output(sub)
+    jobs(sub)
+
+    sub = command(finite_table)
+    sub.add_argument("--n-max", type=_int_range(2), required=True)
+    sub.add_argument(
+        "--k-max", type=_int_range(1), default=35, help="(default: %(default)s)"
+    )
+    digits(sub, 5)
+    sub.add_argument(
+        "--which", choices=["i", "p"], default="i",
+        help="i: fixing probability, p: its complement (default: %(default)s).",
+    )
+    sub.add_argument(
+        "--wide", action="store_true", help="Pretty-print as an n-by-k matrix."
+    )
+    output(sub)
+    jobs(sub)
+
+    sub = command(exceptions)
+    sub.add_argument("--n-max", type=_int_range(4), required=True)
+    output(sub)
+
+    sub = command(ratio)
+    sub.add_argument("--k-max", type=_int_range(2), required=True)
+    digits(sub, 8)
+    output(sub)
+    jobs(sub)
+
+    sub = command(mc)
+    sub.add_argument("--k", type=_int_range(1), required=True)
+    sub.add_argument(
+        "--n", type=_int_range(1),
+        help="Sample finite degree n instead of the limiting model.",
+    )
+    sub.add_argument("--samples", type=_int_range(1), required=True)
+    sub.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+    return parser
+
+
+class _Main:
+    """The CLI, in the shape click's ``CliRunner.invoke`` drives."""
+
+    name = "ksetfix"
+
+    def main(self, args=None, prog_name: str | None = None) -> None:
+        """Parse ``args`` (default ``sys.argv[1:]``) and run the command.
+
+        Usage errors exit with code 2 through ``SystemExit``.
+        """
+        parsed = _parser(prog_name or self.name).parse_args(args)
+        parsed.run(parsed)
+
+
+main = _Main()
 
 
 def run() -> None:
     """Entry point wrapper mapping invariant violations to exit code 3."""
     try:
-        main.main(standalone_mode=True)
+        main.main()
     except AssertionError as err:  # broken internal invariant, not usage
-        click.echo(f"internal invariant violation: {err}", err=True)
+        print(f"internal invariant violation: {err}", file=sys.stderr)
         sys.exit(3)
+    except BrokenPipeError:
+        # stdout's reader went away (``| head``): exit 1 without a traceback,
+        # and point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -232,6 +232,57 @@ def test_usage_errors_exit_two(runner):
     assert runner.invoke(main, ["ratio", "--k-max", "1"]).exit_code == 2
 
 
+# each exits 2 before any engine runs; DIR stands for an existing directory
+USAGE_ERRORS = {
+    "output-is-directory": (["limit-table", "--k-max", "2", "--output", "DIR"], {}),
+    "emit-rows-is-directory": (["limit", "--k", "3", "--emit-rows", "DIR"], {}),
+    "jobs-env-out-of-range": (["limit-table", "--k-max", "2"], {"KSETFIX_JOBS": "0"}),
+    "no-command": ([], {}),
+    "unknown-command": (["no-such-command"], {}),
+    # a prefix of --k-max is not accepted as --k-max
+    "abbreviated-option": (["finite-table", "--n-max", "10", "--k", "3"], {}),
+    "bad-choice": (["finite-table", "--n-max", "6", "--which", "x"], {}),
+    "missing-required": (["limit-table"], {}),
+    "not-an-integer": (["limit", "--k", "x"], {}),
+    "extra-argument": (["limit", "--k", "4", "extra"], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_cases_exit_two(runner, tmp_path, case):
+    args, env = USAGE_ERRORS[case]
+    args = [str(tmp_path) if arg == "DIR" else arg for arg in args]
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+
+
+# every option of each command, with the default its help page shows
+COMMAND_OPTIONS = {
+    "limit": {"--k": None, "--digits": "8", "--emit-rows": None, "--jobs": "1"},
+    "limit-table": {"--k-max": None, "--digits": "8", "--output": None, "--jobs": "1"},
+    "finite-table": {
+        "--n-max": None, "--k-max": "35", "--digits": "5", "--which": "i",
+        "--wide": None, "--output": None, "--jobs": "1",
+    },
+    "exceptions": {"--n-max": None, "--output": None},
+    "ratio": {"--k-max": None, "--digits": "8", "--output": None, "--jobs": "1"},
+    "mc": {"--k": None, "--n": None, "--samples": None, "--seed": "0"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_help_names_every_option_and_default(runner, command):
+    result = runner.invoke(main, [command, "--help"], env={"KSETFIX_JOBS": None})
+    assert result.exit_code == 0
+    words = result.stdout.split()
+    text = " ".join(words)
+    for option, default in COMMAND_OPTIONS[command].items():
+        assert option in words, option
+        if default is not None:
+            assert f"default: {default}" in text, option
+
+
 def test_output_flag_writes_lf_file(runner, tmp_path):
     path = tmp_path / "table.csv"
     result = runner.invoke(
@@ -313,6 +364,29 @@ def test_ratio_budget_check_survives_optimize_flag():
     assert "error budget" in proc.stderr
 
 
+def test_closed_stdout_exits_one_without_traceback():
+    # a reader that leaves early (``ksetfix ... | head``) gets exit 1 and a
+    # quiet stderr, buffered stdout or not
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ksetfix
+
+    src = str(Path(ksetfix.__file__).resolve().parent.parent)
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ksetfix.cli", "limit-table", "--k-max", "3"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1, err
+        assert err == b""
+
+
 # the ksetfix modules a fresh interpreter holds after one command; each
 # command imports only its own engine, and --help imports none
 BASE_MODULES = {"ksetfix", "ksetfix.cli"}
@@ -339,14 +413,16 @@ def test_command_imports_only_its_engine(command):
         "try:\n"
         "    cli.run()\n"
         "finally:\n"
-        "    print(*sorted(m for m in sys.modules\n"
-        "                  if m.startswith('ksetfix') or m in ('decimal', 'fractions')))\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith('ksetfix')\n"
+        "                  or m in ('decimal', 'fractions', 'click')))\n"
     )
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     want = BASE_MODULES | {"ksetfix." + name for name in engine}
     assert {m for m in loaded if m.startswith("ksetfix")} == want
+    # the CLI parses with the standard library alone
+    assert "click" not in loaded
     if command == "mc":
         # the samplers use floats only
         assert not loaded & {"decimal", "fractions"}
