@@ -1,12 +1,13 @@
 """Command-line interface: tables, listings and Monte Carlo checks.
 
 All output is plain UTF-8 text with LF line endings and is byte
-deterministic given the flags and seed. limit, limit-table, finite-table
-and ratio accept --jobs (or KSETFIX_JOBS) and ignore it: both engines
-run serially. Each command imports its engine in its body, on first
-use, so a command loads only the engine it runs and ``--help`` loads
-none. Arguments are parsed with the standard library's ``argparse``, so
-the CLI needs no third-party package.
+deterministic given the flags and seed. Both engines run serially;
+limit, limit-table and finite-table still accept --jobs and ignore it,
+so that existing command lines (the benchmark's among them) keep
+parsing. Each command imports its engine in its body, on first use, so
+a command loads only the engine it runs and ``--help`` loads none.
+Arguments are parsed with the standard library's ``argparse``, so the
+CLI needs no third-party package.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 
 ``main`` is an object with a ``name`` and a ``main(args, prog_name)``
@@ -20,8 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-_JOBS_ENV = "KSETFIX_JOBS"
 
 
 def _int_range(low: int, high: int | None = None):
@@ -41,9 +40,12 @@ def _int_range(low: int, high: int | None = None):
 
 
 def _writable_file(text: str) -> str:
-    """argparse type: a path that is not a directory and, if it exists, is writable."""
+    """argparse type: a path in an existing directory that is not itself a
+    directory and, if it exists, is writable."""
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"no directory to hold file {text!r}")
     if os.path.exists(text) and not os.access(text, os.W_OK):
         raise argparse.ArgumentTypeError(f"file {text!r} is not writable")
     return text
@@ -163,7 +165,7 @@ def mc(args) -> None:
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:
-    """The argument parser; built per call so it reads KSETFIX_JOBS at parse time."""
+    """The argument parser of the six commands."""
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Exact fix probabilities of random permutations on k-subsets.",
@@ -192,11 +194,10 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         )
 
     def jobs(sub):
-        # a string default goes through type, so a bad KSETFIX_JOBS exits 2
         sub.add_argument(
-            "--jobs", type=_int_range(1), default=os.environ.get(_JOBS_ENV, "1"),
-            help="Accepted and ignored; every command runs serially "
-            f"(env {_JOBS_ENV}; default: %(default)s).",
+            "--jobs", type=_int_range(1), default=1,
+            help="Accepted and ignored, for existing command lines; every "
+            "command runs serially (default: %(default)s).",
         )
 
     sub = command(limit)
@@ -238,7 +239,6 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub.add_argument("--k-max", type=_int_range(2), required=True)
     digits(sub, 8)
     output(sub)
-    jobs(sub)
 
     sub = command(mc)
     sub.add_argument("--k", type=_int_range(1), required=True)

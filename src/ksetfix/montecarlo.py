@@ -43,13 +43,13 @@ _COUNT_CAP = 64
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A sampled proportion with its binomial standard error."""
+    """A sampled proportion with its binomial standard error, sample
+    count and seed: the four numbers ``ksetfix mc`` prints."""
 
     estimate: float
     std_error: float
     samples: int
     seed: int
-    mean_cycle_counts: tuple[float, ...] | None = None
 
     def within(self, target: float, sigmas: float) -> bool:
         slack = sigmas * self.std_error
@@ -116,8 +116,7 @@ def sample_finite_fix(n: int, k: int, samples: int, seed: int) -> McEstimate:
 
     Cycle types are drawn without building permutations: with r points
     left, the cycle through the smallest one has length uniform on
-    {1..r}. Also reports the empirical mean number of j-cycles for each
-    j <= n (their exact means are 1/j).
+    {1..r}. Deterministic in (n, k, samples, seed).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -125,7 +124,6 @@ def sample_finite_fix(n: int, k: int, samples: int, seed: int) -> McEstimate:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     uniform = rng.random
-    totals = [0] * n
     full = (1 << (k + 1)) - 1
     fixes = 0
     for _ in range(samples):
@@ -133,16 +131,9 @@ def sample_finite_fix(n: int, k: int, samples: int, seed: int) -> McEstimate:
         r = n
         while r:
             length = 1 + int(uniform() * r)
-            totals[length - 1] += 1
             if length <= k:
                 bits |= bits << length & full
             r -= length
         if bits >> k & 1:
             fixes += 1
-    return McEstimate(
-        fixes / samples,
-        _binomial_stderr(fixes, samples),
-        samples,
-        seed,
-        tuple(t / samples for t in totals),
-    )
+    return McEstimate(fixes / samples, _binomial_stderr(fixes, samples), samples, seed)

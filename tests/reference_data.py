@@ -514,36 +514,36 @@ def reference_sample_limit_survival(k: int, samples: int, seed: int):
     return McEstimate(free / samples, _binomial_stderr(free, samples), samples, seed)
 
 
-def reference_sample_finite_fix(n: int, k: int, samples: int, seed: int):
-    """The finite sampler with one is_k_free call per drawn cycle type.
+def reference_finite_cycle_types(n: int, samples: int, seed: int) -> Iterator[list[int]]:
+    """The cycle types ``montecarlo.sample_finite_fix`` draws, in order.
 
-    Same stream as ``montecarlo.sample_finite_fix`` (one uniform per
-    cycle), but it counts the cycles up to length k in a list and asks
-    the layered test.
+    Same stream (one uniform per cycle: with r points left, the cycle
+    through the smallest one has length 1 + floor(u * r)); each type is
+    a multiplicity vector of length n, entry j - 1 counting the j-cycles.
     """
     import random
 
-    from ksetfix.montecarlo import McEstimate, _binomial_stderr
-    from ksetfix.partitions import is_k_free
-
     uniform = random.Random(seed).random
-    totals = [0] * n
-    fixes = 0
     for _ in range(samples):
-        ms = [0] * k
+        ms = [0] * n
         r = n
         while r:
             length = 1 + int(uniform() * r)
-            totals[length - 1] += 1
-            if length <= k:
-                ms[length - 1] += 1
+            ms[length - 1] += 1
             r -= length
-        if not is_k_free(k, ms):
-            fixes += 1
-    return McEstimate(
-        fixes / samples,
-        _binomial_stderr(fixes, samples),
-        samples,
-        seed,
-        tuple(t / samples for t in totals),
+        yield ms
+
+
+def reference_sample_finite_fix(n: int, k: int, samples: int, seed: int):
+    """The finite sampler with one is_k_free call per drawn cycle type.
+
+    It asks the layered test on the cycles up to length k of each type
+    that ``reference_finite_cycle_types`` draws.
+    """
+    from ksetfix.montecarlo import McEstimate, _binomial_stderr
+    from ksetfix.partitions import is_k_free
+
+    fixes = sum(
+        not is_k_free(k, ms[:k]) for ms in reference_finite_cycle_types(n, samples, seed)
     )
+    return McEstimate(fixes / samples, _binomial_stderr(fixes, samples), samples, seed)

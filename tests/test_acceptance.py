@@ -254,14 +254,15 @@ def test_criterion_09_monte_carlo_cross_checks():
 
 def test_criterion_10_byte_determinism(tmp_path):
     failures = []
-    jobs_variants = ("1", "1", "2")
+    # ratio takes no --jobs; the others accept it and ignore it
+    jobs_variants = (["--jobs", "1"], ["--jobs", "1"], ["--jobs", "2"])
     recipes = {
-        "limit-table": ["limit-table", "--k-max", "16"],
-        "finite-table": ["finite-table", "--n-max", "40"],
-        "ratio": ["ratio", "--k-max", "12"],
+        "limit-table": (["limit-table", "--k-max", "16"], jobs_variants),
+        "finite-table": (["finite-table", "--n-max", "40"], jobs_variants),
+        "ratio": (["ratio", "--k-max", "12"], ([], [])),
     }
-    for name, args in recipes.items():
-        outputs = {run_cli(*args, "--jobs", jobs) for jobs in jobs_variants}
+    for name, (args, variants) in recipes.items():
+        outputs = {run_cli(*args, *extra) for extra in variants}
         if len(outputs) != 1:
             failures.append((name, "outputs differ across runs/parallelism"))
     exc_outputs = {run_cli("exceptions", "--n-max", "40") for _ in range(2)}

@@ -234,25 +234,27 @@ def test_usage_errors_exit_two(runner):
 
 # each exits 2 before any engine runs; DIR stands for an existing directory
 USAGE_ERRORS = {
-    "output-is-directory": (["limit-table", "--k-max", "2", "--output", "DIR"], {}),
-    "emit-rows-is-directory": (["limit", "--k", "3", "--emit-rows", "DIR"], {}),
-    "jobs-env-out-of-range": (["limit-table", "--k-max", "2"], {"KSETFIX_JOBS": "0"}),
-    "no-command": ([], {}),
-    "unknown-command": (["no-such-command"], {}),
+    "output-is-directory": ["limit-table", "--k-max", "2", "--output", "DIR"],
+    "emit-rows-is-directory": ["limit", "--k", "3", "--emit-rows", "DIR"],
+    "output-parent-missing": ["limit-table", "--k-max", "2", "--output", "DIR/no/x.csv"],
+    "emit-rows-parent-missing": ["limit", "--k", "3", "--emit-rows", "DIR/no/rows.csv"],
+    # ratio takes no --jobs, not even an ignored one
+    "ratio-jobs": ["ratio", "--k-max", "2", "--jobs", "1"],
+    "no-command": [],
+    "unknown-command": ["no-such-command"],
     # a prefix of --k-max is not accepted as --k-max
-    "abbreviated-option": (["finite-table", "--n-max", "10", "--k", "3"], {}),
-    "bad-choice": (["finite-table", "--n-max", "6", "--which", "x"], {}),
-    "missing-required": (["limit-table"], {}),
-    "not-an-integer": (["limit", "--k", "x"], {}),
-    "extra-argument": (["limit", "--k", "4", "extra"], {}),
+    "abbreviated-option": ["finite-table", "--n-max", "10", "--k", "3"],
+    "bad-choice": ["finite-table", "--n-max", "6", "--which", "x"],
+    "missing-required": ["limit-table"],
+    "not-an-integer": ["limit", "--k", "x"],
+    "extra-argument": ["limit", "--k", "4", "extra"],
 }
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
 def test_usage_error_cases_exit_two(runner, tmp_path, case):
-    args, env = USAGE_ERRORS[case]
-    args = [str(tmp_path) if arg == "DIR" else arg for arg in args]
-    result = runner.invoke(main, args, env=env)
+    args = [arg.replace("DIR", str(tmp_path)) for arg in USAGE_ERRORS[case]]
+    result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
 
@@ -266,14 +268,14 @@ COMMAND_OPTIONS = {
         "--wide": None, "--output": None, "--jobs": "1",
     },
     "exceptions": {"--n-max": None, "--output": None},
-    "ratio": {"--k-max": None, "--digits": "8", "--output": None, "--jobs": "1"},
+    "ratio": {"--k-max": None, "--digits": "8", "--output": None},
     "mc": {"--k": None, "--n": None, "--samples": None, "--seed": "0"},
 }
 
 
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
 def test_help_names_every_option_and_default(runner, command):
-    result = runner.invoke(main, [command, "--help"], env={"KSETFIX_JOBS": None})
+    result = runner.invoke(main, [command, "--help"])
     assert result.exit_code == 0
     words = result.stdout.split()
     text = " ".join(words)
@@ -465,13 +467,11 @@ def test_csv_digits_consistent_with_higher_precision(runner):
         assert round_scaled(fine.scaled, 18, 8) == int(value.replace(".", ""))
 
 
-def test_jobs_env_variable(runner, tmp_path):
-    out = tmp_path / "env.csv"
-    result = runner.invoke(
-        main,
-        ["finite-table", "--n-max", "8", "--output", str(out)],
-        env={"KSETFIX_JOBS": "2"},
-    )
-    assert result.exit_code == 0
-    base = runner.invoke(main, ["finite-table", "--n-max", "8"])
-    assert out.read_text() == base.output
+def test_jobs_environment_variable_not_read(runner):
+    # KSETFIX_JOBS is not a setting: even a value --jobs would reject is
+    # passed over
+    args = ["limit-table", "--k-max", "2"]
+    base = runner.invoke(main, args)
+    result = runner.invoke(main, args, env={"KSETFIX_JOBS": "0"})
+    assert base.exit_code == result.exit_code == 0
+    assert result.stdout == base.stdout

