@@ -17,18 +17,16 @@ run it per k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # not used here; the benchmark's tracer hooks these names on this module
 from .partitions import achievable_sizes_mask, universality_index  # noqa: F401
 from .precision import format_scaled, round_div
 
 
-@dataclass(frozen=True)
-class FiniteResult:
+class FiniteResult(NamedTuple):
     """Exact fixing and survival probabilities for one (n, k)."""
 
     n: int

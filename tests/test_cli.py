@@ -416,7 +416,7 @@ def test_command_imports_only_its_engine(command):
         "    cli.run()\n"
         "finally:\n"
         "    print(*sorted(m for m in sys.modules if m.startswith('ksetfix')\n"
-        "                  or m in ('decimal', 'fractions', 'click')))\n"
+        "                  or m in ('decimal', 'fractions', 'click', 'dataclasses')))\n"
     )
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
@@ -428,6 +428,9 @@ def test_command_imports_only_its_engine(command):
     if command == "mc":
         # the samplers use floats only
         assert not loaded & {"decimal", "fractions"}
+    if command in ("mc", "finite-table"):
+        # dataclasses pulls in inspect, a larger import than either engine
+        assert "dataclasses" not in loaded
 
 
 def test_package_names_resolve_lazily():

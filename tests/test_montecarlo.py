@@ -1,13 +1,16 @@
 """Samplers: determinism, distribution sanity, agreement with exact values."""
 
-import dataclasses
+import random
+from bisect import bisect_right
 from fractions import Fraction
-from math import sqrt
+from math import nextafter, sqrt
+from struct import iter_unpack
 
 import pytest
 
 from ksetfix.finite import finite_fix_probability
 from ksetfix.montecarlo import (
+    _byte_table,
     _poisson_cdf,
     sample_finite_fix,
     sample_limit_survival,
@@ -103,18 +106,69 @@ def test_estimates_in_unit_interval():
 
 # small k: Poisson counts often exceed the knapsack cap k // j
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("k", [1, 2, 4, 10, 25, 30])
+@pytest.mark.parametrize("k", [1, 2, 4, 10, 17, 25, 30, 64])
 def test_limit_sampler_equals_is_k_free_oracle(k, seed):
     fast = sample_limit_survival(k, ORACLE_SAMPLES, seed)
     slow = reference_sample_limit_survival(k, ORACLE_SAMPLES, seed)
-    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+    assert fast == slow
+
+
+# the limiting sampler reads 8192 // k samples per block (481 at k = 17,
+# 128 at k = 64): one sample, a block less one, a whole block, a block
+# and one, and several blocks
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "k, samples",
+    [(1, 1), (17, 1), (64, 1), (17, 480), (17, 481), (17, 482),
+     (64, 127), (64, 128), (64, 129), (64, 1000)],
+)
+def test_limit_sampler_equals_oracle_across_blocks(k, samples, seed):
+    fast = sample_limit_survival(k, samples, seed)
+    slow = reference_sample_limit_survival(k, samples, seed)
+    assert fast == slow
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
-    "n, k", [(1, 1), (2, 1), (5, 5), (10, 5), (30, 1), (50, 20), (70, 30)]
+    "n, k", [(1, 1), (2, 1), (5, 5), (10, 5), (30, 1), (50, 20), (70, 30), (70, 35)]
 )
 def test_finite_sampler_equals_is_k_free_oracle(n, k, seed):
     fast = sample_finite_fix(n, k, ORACLE_SAMPLES, seed)
     slow = reference_sample_finite_fix(n, k, ORACLE_SAMPLES, seed)
-    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (50, 20), (70, 35)])
+def test_finite_sampler_equals_oracle_for_one_sample(n, k):
+    assert sample_finite_fix(n, k, 1, 3) == reference_sample_finite_fix(n, k, 1, 3)
+
+
+# the limiting sampler reads random()'s stream through getrandbits
+@pytest.mark.parametrize("seed", [0, 1, 7, -3])
+def test_random_stream_identity(seed):
+    draws = 1000
+    blocked, single = random.Random(seed), random.Random(seed)
+    raw = blocked.getrandbits(64 * draws).to_bytes(8 * draws, "little")
+    rebuilt = [
+        ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+        for w0, w1 in iter_unpack("<II", raw)
+    ]
+    uniforms = [single.random() for _ in range(draws)]
+    assert rebuilt == uniforms
+    assert [raw[8 * i + 3] for i in range(draws)] == [int(256 * u) for u in uniforms]
+    assert blocked.random() == single.random()
+
+
+@pytest.mark.parametrize("j", range(1, 65))
+def test_byte_table_entries_decide_their_whole_interval(j):
+    cdf = _poisson_cdf(1 / j)
+    for cap in sorted({1, 2, 3, max(1, 64 // j), 100}):
+        table = _byte_table(cdf, cap)
+        assert len(table) == 256
+        for t, count in enumerate(table):
+            ends = (t / 256, nextafter((t + 1) / 256, 0.0))
+            got = {min(bisect_right(cdf, u), cap) for u in ends}
+            if count == 255:
+                assert len(got) == 2, (cap, t)  # undecided only on a real step
+            else:
+                assert got == {count}, (cap, t)
