@@ -1,11 +1,14 @@
 """Command-line interface: tables, listings and Monte Carlo checks.
 
 All output is plain UTF-8 text with LF line endings and is byte
-deterministic given the flags and seed. Both engines run serially;
-limit, limit-table and finite-table still accept --jobs and ignore it,
-so that existing command lines (the benchmark's among them) keep
-parsing. Each command imports its engine in its body, on first use, so
-a command loads only the engine it runs and ``--help`` loads none.
+deterministic given the flags and seed. Each command is a function from
+the parsed arguments to its output lines and writes nothing itself;
+``main`` writes the lines once, to ``--output`` when given, else to
+stdout. Both engines run serially; limit, limit-table and finite-table
+still accept --jobs and ignore it, so that existing command lines (the
+benchmark's among them) keep parsing. Each command imports its engine in
+its body, on first use, so a command loads only the engine it runs and
+``--help`` loads none.
 Arguments are parsed with the standard library's ``argparse``, so the
 CLI needs no third-party package.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import groupby
 
 
 def _int_range(low: int, high: int | None = None):
@@ -61,7 +65,7 @@ def _echo_lines(lines, output):
             fh.write(text)
 
 
-def limit(args) -> None:
+def limit(args) -> list[str]:
     """Limiting probabilities for one k, with table diagnostics."""
     from . import limits
 
@@ -75,7 +79,7 @@ def limit(args) -> None:
             )
     surv = limits.evaluate(survival, args.digits)
     fix = surv.complement()
-    _echo_lines([
+    return [
         f"k = {k}",
         f"i_inf = {fix}",
         f"p_inf = {surv}",
@@ -84,10 +88,10 @@ def limit(args) -> None:
         f"pruned_universal = {stats.pruned_universal}",
         f"pruned_divisibility = {stats.pruned_divisibility}",
         f"full_tests = {stats.full_tests}",
-    ], None)
+    ]
 
 
-def limit_table(args) -> None:
+def limit_table(args) -> list[str]:
     """CSV of limiting fix probabilities and row counts for k <= k-max."""
     from . import limits
 
@@ -96,56 +100,48 @@ def limit_table(args) -> None:
         survival, stats = limits.limiting_survival_checked(k)
         fix = limits.evaluate(survival, args.digits).complement()
         lines.append(f"{k},{fix},{stats.rows_emitted}")
-    _echo_lines(lines, args.output)
+    return lines
 
 
-def finite_table(args) -> None:
+def finite_table(args) -> list[str]:
     """CSV (n,k,value) of finite probabilities for 2 <= n <= n-max, k <= n/2."""
     from . import finite
 
     digits = args.digits
-    rows = list(
-        finite.finite_table(args.n_max, args.k_max, digits, survival=args.which == "p")
+    rows = finite.finite_table(
+        args.n_max, args.k_max, digits, survival=args.which == "p"
     )
     if not args.wide:
-        lines = ["n,k,value"] + [f"{n},{k},{value}" for n, k, value in rows]
-        _echo_lines(lines, args.output)
-        return
+        return ["n,k,value"] + [f"{n},{k},{value}" for n, k, value in rows]
     width = digits + 3
-    k_top = max(k for _, k, _ in rows)
+    k_top = min(args.n_max // 2, args.k_max)
     header = "n\\k".rjust(4) + "".join(str(k).rjust(width) for k in range(1, k_top + 1))
-    by_n: dict[int, dict[int, str]] = {}
-    for n, k, value in rows:
-        by_n.setdefault(n, {})[k] = value
     lines = [header]
-    for n in sorted(by_n):
-        cells = by_n[n]
-        lines.append(
-            str(n).rjust(4)
-            + "".join(cells.get(k, "").rjust(width) for k in range(1, k_top + 1))
-        )
-    _echo_lines(lines, args.output)
+    for n, group in groupby(rows, lambda row: row[0]):  # rows arrive by n, then k
+        cells = "".join(value.rjust(width) for _, _, value in group)
+        lines.append(str(n).rjust(4) + cells.ljust(width * k_top))
+    return lines
 
 
-def exceptions(args) -> None:
+def exceptions(args) -> list[str]:
     """Pairs (n,k) where the fixing probability increases from k to k+1."""
     from . import finite
 
     pairs = sorted(finite.exceptions(args.n_max))
-    _echo_lines([f"{n},{k}" for n, k in pairs], args.output)
+    return [f"{n},{k}" for n, k in pairs]
 
 
-def ratio(args) -> None:
+def ratio(args) -> list[str]:
     """CSV of i(k) over the comparison curve k^-d (ln k)^-3/2, for 2 <= k <= k-max."""
     from . import limits
 
     lines = ["k,ratio"]
     for k in range(2, args.k_max + 1):
         lines.append(f"{k},{limits.efg_ratio(k, args.digits)}")
-    _echo_lines(lines, args.output)
+    return lines
 
 
-def mc(args) -> None:
+def mc(args) -> list[str]:
     """Monte Carlo estimate of the survival (limit) or fixing (finite) probability."""
     from . import montecarlo
 
@@ -158,10 +154,10 @@ def mc(args) -> None:
             args.error("--k must not exceed --n")
         est = montecarlo.sample_finite_fix(n, k, args.samples, args.seed)
         label = f"fix(n={n}, k={k})"
-    _echo_lines([
+    return [
         f"{label} = {est.estimate:.6f} +/- {est.std_error:.6f} "
         f"(samples={est.samples}, seed={est.seed})"
-    ], None)
+    ]
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:
@@ -178,7 +174,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
             run.__name__.replace("_", "-"), help=run.__doc__,
             description=run.__doc__, allow_abbrev=False,
         )
-        sub.set_defaults(run=run, error=sub.error)
+        sub.set_defaults(run=run, error=sub.error, output=None)
         return sub
 
     def digits(sub, default):
@@ -257,12 +253,12 @@ class _Main:
     name = "ksetfix"
 
     def main(self, args=None, prog_name: str | None = None) -> None:
-        """Parse ``args`` (default ``sys.argv[1:]``) and run the command.
+        """Parse ``args`` (default ``sys.argv[1:]``), run the command, write its lines.
 
         Usage errors exit with code 2 through ``SystemExit``.
         """
         parsed = _parser(prog_name or self.name).parse_args(args)
-        parsed.run(parsed)
+        _echo_lines(parsed.run(parsed), parsed.output)
 
 
 main = _Main()

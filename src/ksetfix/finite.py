@@ -17,13 +17,15 @@ run it per k.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 # not used here; the benchmark's tracer hooks these names on this module
 from .partitions import achievable_sizes_mask, universality_index  # noqa: F401
 from .precision import format_scaled, round_div
+
+if TYPE_CHECKING:  # only finite_fix_probability builds one, and imports it there
+    from fractions import Fraction
 
 
 class FiniteResult(NamedTuple):
@@ -118,6 +120,8 @@ def fixing_counts(n: int, k_cap: int) -> list[int]:
 
 def finite_fix_probability(n: int, k: int) -> FiniteResult:
     """Exact probability that a uniform permutation of Sym_n fixes a k-subset."""
+    from fractions import Fraction
+
     survival = Fraction(survival_counts(n, k)[n], factorial(n))
     return FiniteResult(n, k, 1 - survival, survival)
 

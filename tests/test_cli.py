@@ -107,6 +107,52 @@ def test_finite_table_wide(runner):
     assert any(line.lstrip().startswith("6") and "0.36250" in line for line in lines)
 
 
+# the --wide matrix as first pinned: rows for small n are ragged and
+# padded with spaces to the full width
+WIDE_PINNED = {
+    ("--n-max", "9"): [
+        " n\\k       1       2       3       4",
+        "   2 0.50000                        ",
+        "   3 0.66667                        ",
+        "   4 0.62500 0.41667                ",
+        "   5 0.63333 0.55000                ",
+        "   6 0.63194 0.57778 0.36250        ",
+        "   7 0.63214 0.55159 0.49048        ",
+        "   8 0.63212 0.55089 0.50037 0.33770",
+        "   9 0.63212 0.55424 0.51478 0.44819",
+    ],
+    ("--n-max", "20", "--k-max", "3", "--digits", "2", "--which", "p"): [
+        " n\\k    1    2    3",
+        "   2 0.50          ",
+        "   3 0.33          ",
+        "   4 0.38 0.58     ",
+        "   5 0.37 0.45     ",
+        "   6 0.37 0.42 0.64",
+        "   7 0.37 0.45 0.51",
+        "   8 0.37 0.45 0.50",
+        "   9 0.37 0.45 0.49",
+        "  10 0.37 0.45 0.51",
+        "  11 0.37 0.45 0.50",
+        "  12 0.37 0.45 0.50",
+        "  13 0.37 0.45 0.50",
+        "  14 0.37 0.45 0.50",
+        "  15 0.37 0.45 0.50",
+        "  16 0.37 0.45 0.50",
+        "  17 0.37 0.45 0.50",
+        "  18 0.37 0.45 0.50",
+        "  19 0.37 0.45 0.50",
+        "  20 0.37 0.45 0.50",
+    ],
+}
+
+
+@pytest.mark.parametrize("options", list(WIDE_PINNED), ids=["n9", "n20-k3-p"])
+def test_finite_table_wide_pinned(runner, options):
+    result = runner.invoke(main, ["finite-table", *options, "--wide"])
+    assert result.exit_code == 0
+    assert result.output == "".join(line + "\n" for line in WIDE_PINNED[options])
+
+
 def test_exceptions_output(runner):
     result = runner.invoke(main, ["exceptions", "--n-max", "36"])
     assert result.output == "30,9\n36,11\n"
@@ -285,15 +331,28 @@ def test_help_names_every_option_and_default(runner, command):
             assert f"default: {default}" in text, option
 
 
-def test_output_flag_writes_lf_file(runner, tmp_path):
+# each command that takes --output; the file holds the bytes the command
+# writes to stdout without the option
+OUTPUT_COMMANDS = {
+    "limit-table": ["limit-table", "--k-max", "3"],
+    "finite-table": ["finite-table", "--n-max", "9"],
+    "finite-table-wide": ["finite-table", "--n-max", "9", "--wide"],
+    "exceptions": ["exceptions", "--n-max", "36"],
+    "ratio": ["ratio", "--k-max", "3"],
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_COMMANDS))
+def test_output_flag_writes_lf_file(runner, tmp_path, case):
+    args = OUTPUT_COMMANDS[case]
     path = tmp_path / "table.csv"
-    result = runner.invoke(
-        main, ["limit-table", "--k-max", "3", "--output", str(path)]
-    )
+    result = runner.invoke(main, [*args, "--output", str(path)])
     assert result.exit_code == 0
     assert result.output == ""
     data = path.read_bytes()
-    assert data == b"k,i_inf,rows\n1,0.63212056,1\n2,0.55373968,2\n3,0.49658324,4\n"
+    assert data == runner.invoke(main, args).stdout_bytes
+    if case == "limit-table":
+        assert data == b"k,i_inf,rows\n1,0.63212056,1\n2,0.55373968,2\n3,0.49658324,4\n"
 
 
 def test_jobs_flag_byte_identical(runner, tmp_path):
@@ -398,6 +457,9 @@ COMMAND_MODULES = {
     "finite-table": (
         ["finite-table", "--n-max", "6"], {"finite", "precision", "partitions"}
     ),
+    "exceptions": (
+        ["exceptions", "--n-max", "10"], {"finite", "precision", "partitions"}
+    ),
     "limit": (
         ["limit", "--k", "3"],
         {"limits", "table", "exppoly", "precision", "partitions"},
@@ -427,7 +489,10 @@ def test_command_imports_only_its_engine(command):
     assert "click" not in loaded
     if command == "mc":
         # the samplers use floats only
-        assert not loaded & {"decimal", "fractions"}
+        assert "decimal" not in loaded
+    if command in ("mc", "finite-table", "exceptions"):
+        # the samplers use floats and the finite tables integer counts
+        assert "fractions" not in loaded
     if command in ("mc", "finite-table"):
         # dataclasses pulls in inspect, a larger import than either engine
         assert "dataclasses" not in loaded
