@@ -6,10 +6,10 @@ The package computes, in exact arithmetic throughout:
   permutation fixes some k-subset, as an exact exponential polynomial
   summed over the k-free cycle-type rows by a dynamic programme over
   achievable-sum masks, and evaluated to any number of decimal places;
-* the k-free rows and their pruning counters, by one pruned descend
-  step that drives two ways through the rows: a depth-first walk that
-  emits every row, and a dynamic programme over merged row prefixes
-  that only counts them;
+* the k-free rows and their pruning counters, by a dynamic programme
+  that runs one pruned descend step once per merged row prefix and,
+  when asked for the rows, replays its kept steps depth-first to emit
+  them;
 * the finite-degree probabilities for every degree up to a bound, one
   k per run, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.

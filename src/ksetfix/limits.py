@@ -39,9 +39,9 @@ exactly.
 The limiting CLI commands check this count, through
 :func:`limiting_survival_checked`, against the independent one of
 :func:`ksetfix.table.enumerate_rows`, which also gives the pruning
-counters. Without a consumer that function counts the rows by its own
-dynamic programme over row prefixes; only ``limit --emit-rows`` walks
-the rows one by one.
+counters. That function counts the rows by its own dynamic programme
+over row prefixes; only for ``limit --emit-rows`` does it also replay
+the programme's kept steps to deliver the rows one by one.
 
 The comparison with the order k^-delta (ln k)^-3/2 of i(k) takes the
 fix probability from :func:`evaluate` and the growth factor from the
@@ -172,9 +172,10 @@ def limiting_survival_checked(
     """The survival polynomial, and the table counters that check it.
 
     The counters come from :func:`~ksetfix.table.enumerate_rows`, which
-    counts the k-free rows without visiting them, or walks them into
-    ``consumer`` when one is given. A row count that differs from the
-    survival programme's is an internal invariant violation.
+    counts the k-free rows without visiting them and, when ``consumer``
+    is given, also replays its steps to deliver every row to it. A row
+    count that differs from the survival programme's is an internal
+    invariant violation.
     """
     survival, rows = limiting_survival_with_stats(k)
     stats = enumerate_rows(k, consumer)

@@ -16,11 +16,16 @@ values both go through.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # only the seeds need decimal: _context imports it
+    from decimal import Context, Decimal
 
 
 def _context(digits: int) -> Context:
     """A half-even context of ``digits`` significant digits, exponents unbounded."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
+
     return Context(
         prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[]
     )

@@ -18,14 +18,14 @@ rejected as reaching size k with everything below achievable
 :func:`~ksetfix.partitions.part_ladder`'s achievable sums. The stage
 outcomes agree with the plain module-level functions.
 
-Two drivers run the step. With a consumer, :func:`enumerate_rows` is a
-depth-first recursion over it that emits every row. Without one, no row
-is visited: a dynamic programme merges the prefixes that share a key and
-runs the step once per key, which gives the same counters in time that
-grows with the number of keys, not of rows. The limiting commands check
-their row count and print the pruning counters from it. The walk serves
-the row stream of ``limit --emit-rows`` and the tests, as the row-by-row
-oracle.
+:func:`enumerate_rows` runs the step once per key: a dynamic programme
+merges the prefixes that share a key and weights each counter with
+their number, which gives the counters of a walk over every prefix in
+time that grows with the number of keys, not of rows. The limiting
+commands check their row count and print the pruning counters from it.
+Asked for the rows (``limit --emit-rows``), the programme also keeps
+each key's children, and a depth-first replay of them delivers the rows.
+The row-by-row walk lives with the tests, as the oracle.
 """
 
 from __future__ import annotations
@@ -118,52 +118,43 @@ def _descend(
 
 
 def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
-    """Deliver every k-free row exactly once, in decreasing lexicographic order.
+    """Count the k-free rows; given a consumer, deliver each row once to it.
 
-    The first row is (k-1, 0, ..., 0) and the last is all zeros. Without
-    a consumer no row is visited: :func:`_count_rows` returns the same
-    counters.
+    The programme keeps the number of prefixes per key and runs
+    :func:`_descend` once per key and position. With a consumer it also
+    keeps each key's children, and a depth-first replay over them
+    delivers the rows in decreasing lexicographic order, from
+    (k-1, 0, ..., 0) to all zeros.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if consumer is None:
-        return _count_rows(k)
     stats = TableStats()
     usable_d, div_of = _divisor_masks(k)
-    row: list[int] = []
-
-    def walk(j: int, key: Key) -> None:
-        if j == k:
-            consumer(tuple(row))
-            stats.rows_emitted += 1
-            return
-        for m, child in _descend(k, j, key, div_of, stats, 1):
-            row.append(m)
-            walk(j + 1, child)
-            row.pop()
-
-    walk(1, (1, usable_d, 0))
-    return stats
-
-
-def _count_rows(k: int) -> TableStats:
-    """The walk's counters, from a dynamic programme over row prefixes.
-
-    The walk calls :func:`_descend` once on every k-free prefix, and what
-    the step counts and yields depends only on the prefix's key. So the
-    programme keeps the number of prefixes per key and runs the step once
-    per key, weighting each counter with that number.
-    """
-    stats = TableStats()
-    usable_d, div_of = _divisor_masks(k)
-    states = {(1, usable_d, 0): 1}
+    root = (1, usable_d, 0)
+    states = {root: 1}
+    steps: list[dict[Key, list[tuple[int, Key]]]] = []
     for j in range(1, k):
         nxt: dict[Key, int] = {}
+        kept: dict[Key, list[tuple[int, Key]]] = {}
         for key, count in states.items():
-            for _, child in _descend(k, j, key, div_of, stats, count):
+            children = _descend(k, j, key, div_of, stats, count)
+            if consumer is not None:
+                children = kept[key] = list(children)
+            for _, child in children:
                 nxt[child] = nxt.get(child, 0) + count
+        steps.append(kept)
         states = nxt
     stats.rows_emitted = sum(states.values())
+
+    def replay(j: int, key: Key, prefix: tuple[int, ...]) -> None:
+        if j == k - 1:
+            consumer(prefix)
+            return
+        for m, child in steps[j][key]:
+            replay(j + 1, child, prefix + (m,))
+
+    if consumer is not None:
+        replay(0, root, ())
     return stats
 
 

@@ -7,12 +7,13 @@ recurrences, vectorized orbit tests, and the finite engine's two former
 routes: one knapsack per partition, and one all-k programme over
 untrimmed achievable-sum masks).
 
-The slow paths the package no longer ships live here too: the limiting
-engine's row-by-row weights, the exponential-polynomial algebra they
-need (on ``Fraction`` coefficients, converted to and from the package's
-integer numerators over one denominator), centralizer orders,
-evaluation with every exponent as a ``Fraction``, and the Monte Carlo
-samplers that build each drawn vector and call ``is_k_free``.
+The slow paths the package no longer ships live here too: the row
+table's walk over every row prefix, the limiting engine's row-by-row
+weights, the exponential-polynomial algebra they need (on ``Fraction``
+coefficients, converted to and from the package's integer numerators
+over one denominator), centralizer orders, evaluation with every
+exponent as a ``Fraction``, and the Monte Carlo samplers that build
+each drawn vector and call ``is_k_free``.
 Functions that need ksetfix import it when called, because the
 benchmark's tests load this module's constants without the package on
 the path.
@@ -338,6 +339,37 @@ def brute_fix_fractions(n: int) -> dict[int, Fraction]:
                 img |= bit_images[:, i]
         hits[mask.bit_count()] |= img == mask
     return {k: Fraction(int(hits[k].sum()), nf) for k in range(1, n + 1)}
+
+
+# --- the row table's depth-first walk ---
+
+
+def descend_walk(k: int, consumer):
+    """The row table walked prefix by prefix; returns its own TableStats.
+
+    Runs ``table._descend`` once on every k-free row prefix, with count 1,
+    recursing into the children it yields, and hands each complete row to
+    ``consumer`` in decreasing lexicographic order. ``enumerate_rows`` runs
+    the same step once per merged prefix key instead.
+    """
+    from ksetfix.table import TableStats, _descend, _divisor_masks
+
+    stats = TableStats()
+    usable_d, div_of = _divisor_masks(k)
+    row: list[int] = []
+
+    def walk(j: int, key) -> None:
+        if j == k:
+            consumer(tuple(row))
+            stats.rows_emitted += 1
+            return
+        for m, child in _descend(k, j, key, div_of, stats, 1):
+            row.append(m)
+            walk(j + 1, child)
+            row.pop()
+
+    walk(1, (1, usable_d, 0))
+    return stats
 
 
 # --- exponential-polynomial algebra and the row-by-row limiting sum ---

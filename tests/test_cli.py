@@ -45,12 +45,19 @@ def test_limit_emit_rows(runner, tmp_path):
 
 @pytest.mark.parametrize("k", [1, 7, 12, 16])
 def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
-    # --emit-rows walks the rows; without it the table counts them
+    # --emit-rows replays the counting programme's kept steps into the
+    # rows file; the counters and the rows are those of the prefix walk
+    from reference_data import descend_walk
+
+    path = tmp_path / "rows.csv"
     args = ["limit", "--k", str(k)]
     counted = runner.invoke(main, args)
-    walked = runner.invoke(main, args + ["--emit-rows", str(tmp_path / "rows.csv")])
-    assert counted.exit_code == walked.exit_code == 0
-    assert counted.output == walked.output
+    emitted = runner.invoke(main, args + ["--emit-rows", str(path)])
+    assert counted.exit_code == emitted.exit_code == 0
+    assert counted.output == emitted.output
+    walked = []
+    descend_walk(k, lambda row: walked.append(",".join(map(str, row)) + "\n"))
+    assert path.read_text() == "".join(walked)
 
 
 def test_limit_k22_fifty_digits(runner):
@@ -487,11 +494,9 @@ def test_command_imports_only_its_engine(command):
     assert {m for m in loaded if m.startswith("ksetfix")} == want
     # the CLI parses with the standard library alone
     assert "click" not in loaded
-    if command == "mc":
-        # the samplers use floats only
-        assert "decimal" not in loaded
     if command in ("mc", "finite-table", "exceptions"):
         # the samplers use floats and the finite tables integer counts
+        assert "decimal" not in loaded
         assert "fractions" not in loaded
     if command in ("mc", "finite-table"):
         # dataclasses pulls in inspect, a larger import than either engine

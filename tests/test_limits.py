@@ -24,6 +24,7 @@ from reference_data import (
     RATIO_K4_10DP,
     capped_tail_weight,
     coefficient_sum,
+    descend_walk,
     exp_inv,
     fraction_evaluate_scaled,
     poly_add,
@@ -121,8 +122,9 @@ def test_limit_fix_probability_eight_places(k, survival):
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_dp_row_count_matches_walk(k, survival):
-    walked = enumerate_rows(k, lambda row: None).rows_emitted
-    assert survival.rows(k) == walked == LIMIT_TABLE_8DP[k][1]
+    walked = []
+    descend_walk(k, walked.append)
+    assert survival.rows(k) == len(walked) == LIMIT_TABLE_8DP[k][1]
 
 
 def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival):

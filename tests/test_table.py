@@ -14,7 +14,7 @@ from ksetfix.table import (
     rows_count,
 )
 
-from reference_data import LIMIT_TABLE_8DP, subpartition_sums
+from reference_data import LIMIT_TABLE_8DP, descend_walk, subpartition_sums
 
 
 def collect(k):
@@ -120,13 +120,15 @@ def test_matches_reference_walk_and_counter_split(k):
 
 def test_counter_identity():
     for k in range(1, 12):
-        _, walked = collect(k)
+        walked_rows = []
+        walked = descend_walk(k, walked_rows.append)
+        emitted_rows, emitted = collect(k)
         counted = enumerate_rows(k)
-        for s in (walked, counted):
+        for s in (walked, emitted, counted):
             assert s.partials_considered == (
                 s.pruned_universal + s.pruned_divisibility + s.full_tests
             )
-        assert walked.rows_emitted == rows_count(k)
+        assert len(walked_rows) == len(emitted_rows) == rows_count(k)
 
 
 @pytest.mark.parametrize(
@@ -135,8 +137,13 @@ def test_counter_identity():
     + [pytest.param(k, marks=pytest.mark.longrun) for k in range(21, 25)],
 )
 def test_count_path_matches_walk(k):
-    # without a consumer the counters come from the prefix-state DP
-    assert enumerate_rows(k) == enumerate_rows(k, lambda r: None)
+    # the programme, counting or replaying its kept steps, against the
+    # walk that runs the descend step on every prefix
+    walked_rows = []
+    walked = descend_walk(k, walked_rows.append)
+    emitted_rows, emitted = collect(k)
+    assert emitted_rows == walked_rows
+    assert enumerate_rows(k) == emitted == walked
 
 
 def test_count_path_k30_counters():
