@@ -8,11 +8,12 @@ fixing probability is a sum of exact unit fractions over the partitions
 of n, with denominator dividing n!.
 
 Partitions are never built. For one k, :func:`survival_counts` folds
-the cycle lengths j < k into states (size, achievable-sum mask) -> sum
-of n_max!/z, an integer. A k-cycle always fixes a k-subset; longer
-cycles lie in none, so they are folded in over sizes alone, with the
-same weights. One run serves every n <= n_max; tables over several k
-run it per k.
+every cycle length j = 1..n_max, in one loop, into states (size,
+achievable-sum mask) -> sum of n_max!/z, an integer. The mask keeps
+only the sums that can still grow to exactly k, so it rejects a k-cycle
+and is empty from there on: longer cycles lie in no k-subset, and they
+are folded in over sizes alone, with the same weights. One run serves
+every n <= n_max; tables over several k run it per k.
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ class FiniteResult(NamedTuple):
 def survival_counts(n_max: int, k: int) -> list[int]:
     """alive[n] = number of permutations of Sym_n fixing no k-subset, n <= n_max.
 
-    Parts j = 1..k-1 are folded in increasing order over states (size s,
-    achievable-sum mask) weighted by n_max!/z; the m-th copy of j divides
-    the weight by j*m, which is always exact. A state is dropped once bit
-    k is set, and after part j keeps only the bits below k - j, by the
-    rule of :func:`ksetfix.partitions.part_ladder`, inline here as calls
-    cost more at about 1.8 parts per state. A state with no room for
-    part j+1 is final and goes into its size's total. Parts j > k are
-    then folded into these totals by the same weight rule, and alive[n]
-    is total[n] scaled from n_max! down to n!.
+    Parts j = 1..n_max are folded in increasing order over states (size
+    s, achievable-sum mask) weighted by n_max!/z; the m-th copy of j
+    divides the weight by j*m, which is always exact. A state is dropped
+    once bit k is set, and after part j keeps only the bits below k - j,
+    by the rule of :func:`ksetfix.partitions.part_ladder`, inline here as
+    calls cost more at about 1.8 parts per state. Every mask holds bit 0,
+    the empty sum, until part k: one k-cycle then sets bit k and is
+    dropped, and the trim leaves mask 0, so from part k on each size has
+    one state and only the weight rule acts. A state with no room for
+    part j+1 is final and goes into its size's total, and alive[n] is
+    total[n] scaled from n_max! down to n!.
     """
     if not 1 <= k <= n_max:
         raise ValueError("need 1 <= k <= n_max")
@@ -59,8 +62,8 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     live[0][1] = fact[n_max]
     total = [0] * (n_max + 1)
-    for j in range(1, k):
-        keep = (1 << (k - j)) - 1
+    for j in range(1, n_max + 1):
+        keep = (1 << max(k - j, 0)) - 1
         limit = n_max - j - 1  # larger sizes have no room for part j+1
         for s in range(n_max - j, -1, -1):
             states, live[s] = live[s], {}
@@ -78,17 +81,6 @@ def survival_counts(n_max: int, k: int) -> list[int]:
                     if t > n_max or mask & kbit:
                         break
                     w //= j * m
-    for s, states in enumerate(live):  # left after part k-1, or k = 1
-        total[s] += sum(states.values())
-    # a length j > k adds only sums above k, so it never completes a sum of
-    # exactly k and the mask can go; each weight is n_max!/z of a partition
-    # of size at most n_max, so every division is exact
-    for j in range(k + 1, n_max + 1):
-        for s in range(n_max - j, -1, -1):
-            w = total[s]
-            for m, t in enumerate(range(s + j, n_max + 1, j), 1):
-                w //= j * m
-                total[t] += w
     return [total[n] // (fact[n_max] // fact[n]) for n in range(n_max + 1)]
 
 

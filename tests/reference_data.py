@@ -9,7 +9,8 @@ untrimmed achievable-sum masks).
 
 The slow paths the package no longer ships live here too: the row
 table's walk over every row prefix, the limiting engine's row-by-row
-weights, the exponential-polynomial algebra they need (on ``Fraction``
+weights and their power series in the cycle lengths, the
+exponential-polynomial algebra they need (on ``Fraction``
 coefficients, converted to and from the package's integer numerators
 over one denominator), centralizer orders, evaluation with every
 exponent as a ``Fraction``, and the Monte Carlo samplers that build
@@ -518,6 +519,68 @@ def row_contribution(k: int, row):
     for j, m in enumerate(row, start=1):
         poly = poly_mul(poly, row_factor(k, j, m))
     return poly
+
+
+# --- the row-by-row sum as a power series in the cycle lengths ---
+
+
+def series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """a * b for power series given by their coefficients, truncated to len(a)."""
+    n = len(a)
+    out = [Fraction(0)] * n
+    b_terms = [(t, bt) for t, bt in enumerate(b[:n]) if bt]
+    for i, ai in enumerate(a):
+        if ai:
+            for t, bt in b_terms:
+                if i + t >= n:
+                    break
+                out[i + t] += ai * bt
+    return out
+
+
+def row_series(k: int, n_max: int) -> list[Fraction]:
+    """[x^0..x^n_max] of p_k(x), the row sum with each j-cycle weighted by x^j.
+
+    Every k-free row from ``enumerate_rows`` contributes the product of
+    the weights of ``row_factor`` with 1/j replaced by x^j/j: e^{-x^j/j}
+    x^{jm}/(j^m m!) below the cap, 1 - e^{-x^j/j} sum_{i<floor(k/j)}
+    (x^j/j)^i/i! at it, and one factor e^{-x^k/k}. At x = 1 this is the
+    limiting survival. Cycles longer than k are free, so by the
+    exponential formula sum_n alive(n, k) x^n/n! = p_k(x)/(1 - x): the
+    coefficient of x^n is alive(n, k)/n! - alive(n-1, k)/(n-1)!.
+    """
+    from ksetfix.table import enumerate_rows
+
+    size = n_max + 1
+
+    def power_series(j: int, sign: int, terms) -> list[Fraction]:
+        # sum over i in terms of (sign x^j/j)^i/i!
+        out = [Fraction(0)] * size
+        for i in terms:
+            if j * i > n_max:
+                break
+            out[j * i] = Fraction(sign**i, j**i * factorial(i))
+        return out
+
+    exp_neg = [None] + [power_series(j, -1, range(size)) for j in range(1, k + 1)]
+    factors = {}
+    for j in range(1, k):
+        cap = k // j
+        for m in range(cap):
+            factors[j, m] = series_mul(exp_neg[j], power_series(j, 1, [m]))
+        tail = series_mul(exp_neg[j], power_series(j, 1, range(cap)))
+        factors[j, cap] = [(i == 0) - c for i, c in enumerate(tail)]
+    total = [Fraction(0)] * size
+
+    def add_row(row) -> None:
+        series = exp_neg[k]
+        for j, m in enumerate(row, start=1):
+            series = series_mul(series, factors[j, m])
+        for i, c in enumerate(series):
+            total[i] += c
+
+    enumerate_rows(k, add_row)
+    return total
 
 
 # --- Monte Carlo samplers that test each drawn vector with is_k_free ---

@@ -2,7 +2,9 @@
 
 The count table has two oracles: the partition stream tested first,
 with one knapsack per partition, and the former all-k programme over
-untrimmed achievable-sum masks, ``mask_fixing_count_table``.
+untrimmed achievable-sum masks, ``mask_fixing_count_table``. The
+survival counts also meet the limiting engine's row-by-row sum exactly,
+through its power series in the cycle lengths, ``row_series``.
 """
 
 from decimal import Decimal, localcontext
@@ -19,6 +21,7 @@ from ksetfix.finite import (
     fixing_count_table,
     fixing_counts,
     format_probability,
+    survival_counts,
 )
 from ksetfix.limits import evaluate, limiting_survival
 
@@ -31,6 +34,7 @@ from reference_data import (
     partition_count_recurrence,
     partition_fixing_counts,
     partitions_of,
+    row_series,
 )
 
 oracle_counts = lru_cache(maxsize=None)(partition_fixing_counts)
@@ -98,6 +102,31 @@ def test_count_table_matches_partition_oracle(n_max, cap):
 )
 def test_count_table_matches_mask_oracle(n_max, cap):
     assert fixing_count_table(n_max, cap) == mask_fixing_count_table(n_max, cap)
+
+
+@pytest.mark.parametrize(
+    "k,n_max",
+    [(k, 20) for k in range(1, 8)]
+    + [pytest.param(k, 30, marks=pytest.mark.longrun) for k in range(8, 13)],
+)
+def test_survival_counts_match_row_series(k, n_max):
+    # the paper's row sum with x^j per j-cycle against the finite engine,
+    # coefficient by coefficient: [x^n] p_k = alive(n)/n! - alive(n-1)/(n-1)!
+    alive = survival_counts(n_max, k)
+    want = [Fraction(1)] + [
+        Fraction(alive[n], factorial(n)) - Fraction(alive[n - 1], factorial(n - 1))
+        for n in range(1, n_max + 1)
+    ]
+    assert row_series(k, n_max) == want
+
+
+def test_survival_counts_k1_are_derangements():
+    # k = 1 sends every length from 2 to n through the mask loop once bit 0
+    # is trimmed away; D(n) = (n-1)(D(n-1) + D(n-2))
+    derangements = [1, 0]
+    for n in range(2, 301):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+    assert survival_counts(300, 1) == derangements
 
 
 def test_simple_exact_values():
