@@ -46,6 +46,8 @@ def _int_range(low: int, high: int | None = None):
 def _writable_file(text: str) -> str:
     """argparse type: a path in an existing directory that is not itself a
     directory and, if it exists, is writable."""
+    if not text:
+        raise argparse.ArgumentTypeError("file path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
     if not os.path.isdir(os.path.dirname(text) or "."):

@@ -52,9 +52,9 @@ caller's thread context changes no digit; see :func:`efg_ratio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from math import factorial
+from typing import NamedTuple
 
 from .exppoly import ExpPoly
 from .partitions import part_ladder
@@ -79,8 +79,7 @@ _EVAL_GUARD = 12
 _RATIO_GUARD = 5
 
 
-@dataclass(frozen=True)
-class HighPrecisionDecimal:
+class HighPrecisionDecimal(NamedTuple):
     """A decimal with certified absolute error below 10**-digits."""
 
     digits: int

@@ -12,17 +12,18 @@ tries the largest admissible multiplicity first and goes down until one
 keeps the prefix k-free (0 always does, since prefixes of k-free rows
 are k-free); that one and every smaller one are the prefix's children,
 k-free without a retest. Each try is classified by the three-stage test
-of :mod:`ksetfix.partitions` and counted in :class:`TableStats`:
-rejected as reaching size k with everything below achievable
-(universality), accepted by the divisibility criterion, or settled by
-:func:`~ksetfix.partitions.part_ladder`'s achievable sums. The stage
-outcomes agree with the plain module-level functions.
+of :mod:`ksetfix.partitions`, and the step returns how many tries ended
+in each stage: rejected as reaching size k with everything below
+achievable (universality), accepted by the divisibility criterion, or
+settled by :func:`~ksetfix.partitions.part_ladder`'s achievable sums.
+The stage outcomes agree with the plain module-level functions.
 
 :func:`enumerate_rows` runs the step once per key: a dynamic programme
-merges the prefixes that share a key and weights each counter with
-their number, which gives the counters of a walk over every prefix in
-time that grows with the number of keys, not of rows. The limiting
-commands check their row count and print the pruning counters from it.
+merges the prefixes that share a key and weights each key's tallies
+with their number, which gives the counters of a walk over every prefix
+in time that grows with the number of keys, not of rows. It returns the
+counters as one :class:`TableStats`. The limiting commands check their
+row count and print the pruning counters from it.
 Asked for the rows (``limit --emit-rows``), the programme also keeps
 each key's children, and a depth-first replay of them delivers the rows.
 The row-by-row walk lives with the tests, as the oracle.
@@ -30,8 +31,7 @@ The row-by-row walk lives with the tests, as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 from .partitions import part_ladder
 
@@ -39,13 +39,13 @@ RowSink = Callable[[tuple[int, ...]], None]
 Key = tuple[int, int, int]
 
 
-@dataclass
-class TableStats:
+class TableStats(NamedTuple):
     """Row and pruning counters for one enumeration run.
 
-    partials_considered always equals pruned_universal +
-    pruned_divisibility + full_tests; the split depends on the descent
-    order and is diagnostic rather than contractual.
+    :func:`enumerate_rows` builds partials_considered as the sum
+    pruned_universal + pruned_divisibility + full_tests; the split
+    depends on the descent order and is diagnostic rather than
+    contractual.
     """
 
     rows_emitted: int = 0
@@ -80,71 +80,77 @@ def _divisor_masks(k: int) -> tuple[int, list[int]]:
 
 
 def _descend(
-    k: int, j: int, key: Key, div_of: list[int], stats: TableStats, count: int
-) -> Iterator[tuple[int, Key]]:
-    """Classify position j after ``count`` prefixes with ``key``; yield the children.
+    k: int, j: int, key: Key, div_of: list[int]
+) -> tuple[list[tuple[int, Key]], int, int, int]:
+    """Classify position j after a prefix with ``key``; return its children.
 
     A key is (achievable sums trimmed by :func:`part_ladder`, usable
     divisors dividing every part, running size while no position u has a
     running size below u, else -1). The step tries m = floor((k-1)/j)
-    down to 0, adds ``count`` to the counters of each try, and yields
-    (m, child key) for the accepted m and every smaller m.
+    down to 0 and returns the list of (m, child key) for the accepted m
+    and every smaller m, followed by how many tries universality
+    rejected, divisibility accepted and the achievable sums settled.
     """
     reach, compat, size = key
     ub = position_bound(k, j)
     ladder = part_ladder(reach, j, k)  # the m for which k stays unreachable
     div = div_of[j]
+    universal = divisible = full = 0
     for top in range(ub, -1, -1):
-        stats.partials_considered += count
         if size >= 0 and size + j * top >= k:
             # sizes 0..size+j*top all achievable, k among them: not k-free
-            stats.pruned_universal += count
+            universal += 1
             continue
         if compat & div if top else compat:
-            stats.pruned_divisibility += count
+            divisible = 1
             break
-        stats.full_tests += count
+        full += 1
         if top < len(ladder):
             break
     else:
         raise AssertionError("m=0 must keep a k-free prefix k-free")
+    children = []
     for m in range(top, -1, -1):
         sz = size + j * m
-        yield m, (
+        children.append((m, (
             ladder[m],
             compat & div if m else compat,
             sz if size >= 0 and sz >= j else -1,
-        )
+        )))
+    return children, universal, divisible, full
 
 
 def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
     """Count the k-free rows; given a consumer, deliver each row once to it.
 
-    The programme keeps the number of prefixes per key and runs
-    :func:`_descend` once per key and position. With a consumer it also
+    The programme keeps the number of prefixes per key, runs
+    :func:`_descend` once per key and position, and adds the step's
+    tallies times that number into the counters. With a consumer it also
     keeps each key's children, and a depth-first replay over them
     delivers the rows in decreasing lexicographic order, from
     (k-1, 0, ..., 0) to all zeros.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    stats = TableStats()
     usable_d, div_of = _divisor_masks(k)
     root = (1, usable_d, 0)
     states = {root: 1}
     steps: list[dict[Key, list[tuple[int, Key]]]] = []
+    universal = divisible = full = 0
     for j in range(1, k):
         nxt: dict[Key, int] = {}
         kept: dict[Key, list[tuple[int, Key]]] = {}
         for key, count in states.items():
-            children = _descend(k, j, key, div_of, stats, count)
+            children, u, d, f = _descend(k, j, key, div_of)
+            universal += u * count
+            divisible += d * count
+            full += f * count
             if consumer is not None:
-                children = kept[key] = list(children)
+                kept[key] = children
             for _, child in children:
                 nxt[child] = nxt.get(child, 0) + count
         steps.append(kept)
         states = nxt
-    stats.rows_emitted = sum(states.values())
 
     def replay(j: int, key: Key, prefix: tuple[int, ...]) -> None:
         if j == k - 1:
@@ -155,7 +161,10 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
 
     if consumer is not None:
         replay(0, root, ())
-    return stats
+    return TableStats(
+        sum(states.values()), universal + divisible + full,
+        universal, divisible, full,
+    )
 
 
 def rows_count(k: int) -> int:

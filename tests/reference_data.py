@@ -348,29 +348,35 @@ def brute_fix_fractions(n: int) -> dict[int, Fraction]:
 def descend_walk(k: int, consumer):
     """The row table walked prefix by prefix; returns its own TableStats.
 
-    Runs ``table._descend`` once on every k-free row prefix, with count 1,
-    recursing into the children it yields, and hands each complete row to
-    ``consumer`` in decreasing lexicographic order. ``enumerate_rows`` runs
-    the same step once per merged prefix key instead.
+    Runs ``table._descend`` once on every k-free row prefix, sums the
+    tallies it returns, recurses into its children, and hands each
+    complete row to ``consumer`` in decreasing lexicographic order.
+    ``enumerate_rows`` runs the same step once per merged prefix key
+    instead.
     """
     from ksetfix.table import TableStats, _descend, _divisor_masks
 
-    stats = TableStats()
     usable_d, div_of = _divisor_masks(k)
     row: list[int] = []
+    rows = universal = divisible = full = 0
 
     def walk(j: int, key) -> None:
+        nonlocal rows, universal, divisible, full
         if j == k:
             consumer(tuple(row))
-            stats.rows_emitted += 1
+            rows += 1
             return
-        for m, child in _descend(k, j, key, div_of, stats, 1):
+        children, u, d, f = _descend(k, j, key, div_of)
+        universal += u
+        divisible += d
+        full += f
+        for m, child in children:
             row.append(m)
             walk(j + 1, child)
             row.pop()
 
     walk(1, (1, usable_d, 0))
-    return stats
+    return TableStats(rows, universal + divisible + full, universal, divisible, full)
 
 
 # --- exponential-polynomial algebra and the row-by-row limiting sum ---

@@ -291,6 +291,8 @@ USAGE_ERRORS = {
     "emit-rows-is-directory": ["limit", "--k", "3", "--emit-rows", "DIR"],
     "output-parent-missing": ["limit-table", "--k-max", "2", "--output", "DIR/no/x.csv"],
     "emit-rows-parent-missing": ["limit", "--k", "3", "--emit-rows", "DIR/no/rows.csv"],
+    "output-empty": ["limit-table", "--k-max", "2", "--output", ""],
+    "emit-rows-empty": ["limit", "--k", "3", "--emit-rows", ""],
     # ratio takes no --jobs, not even an ignored one
     "ratio-jobs": ["ratio", "--k-max", "2", "--jobs", "1"],
     "no-command": [],
@@ -458,6 +460,7 @@ def test_closed_stdout_exits_one_without_traceback():
 # the ksetfix modules a fresh interpreter holds after one command; each
 # command imports only its own engine, and --help imports none
 BASE_MODULES = {"ksetfix", "ksetfix.cli"}
+LIMITING_ENGINE = {"limits", "table", "exppoly", "precision", "partitions"}
 COMMAND_MODULES = {
     "help": (["limit-table", "--help"], set()),
     "mc": (["mc", "--k", "3", "--samples", "10"], {"montecarlo", "partitions"}),
@@ -467,10 +470,9 @@ COMMAND_MODULES = {
     "exceptions": (
         ["exceptions", "--n-max", "10"], {"finite", "precision", "partitions"}
     ),
-    "limit": (
-        ["limit", "--k", "3"],
-        {"limits", "table", "exppoly", "precision", "partitions"},
-    ),
+    "limit": (["limit", "--k", "3"], LIMITING_ENGINE),
+    "limit-table": (["limit-table", "--k-max", "3"], LIMITING_ENGINE),
+    "ratio": (["ratio", "--k-max", "3"], LIMITING_ENGINE),
 }
 
 
@@ -498,9 +500,8 @@ def test_command_imports_only_its_engine(command):
         # the samplers use floats and the finite tables integer counts
         assert "decimal" not in loaded
         assert "fractions" not in loaded
-    if command in ("mc", "finite-table"):
-        # dataclasses pulls in inspect, a larger import than either engine
-        assert "dataclasses" not in loaded
+    # dataclasses pulls in inspect, a larger import than any engine
+    assert "dataclasses" not in loaded
 
 
 def test_package_names_resolve_lazily():

@@ -27,33 +27,35 @@ def reference_enumerate(k):
     """The same walk, recomputing every candidate test from scratch.
 
     Classification mirrors the production three-stage order but calls the
-    plain module-level predicates on the whole extended partial row.
+    plain module-level predicates on the whole extended partial row. It
+    keeps its own five tallies, partials_considered included, so the sum
+    that ``enumerate_rows`` derives is checked against a separate count.
     """
-    stats = TableStats()
     rows = []
     if k == 1:
         return [()], TableStats(rows_emitted=1)
+    tally = dict.fromkeys(TableStats._fields, 0)
 
     def classify(ms):
-        stats.partials_considered += 1
+        tally["partials_considered"] += 1
         if universality_index(ms) >= k:
-            stats.pruned_universal += 1
+            tally["pruned_universal"] += 1
             return False
         if divisibility_free(k, ms):
-            stats.pruned_divisibility += 1
+            tally["pruned_divisibility"] += 1
             return True
-        stats.full_tests += 1
+        tally["full_tests"] += 1
         return k not in subpartition_sums(ms, k)
 
     r = []
     while True:
         if len(r) == k - 1:
             rows.append(tuple(r))
-            stats.rows_emitted += 1
+            tally["rows_emitted"] += 1
             while r and r[-1] == 0:
                 r.pop()
             if not r:
-                return rows, stats
+                return rows, TableStats(**tally)
             r[-1] -= 1
         else:
             j = len(r) + 1
@@ -159,7 +161,7 @@ def test_descend_rejects_a_prefix_that_is_not_k_free():
     usable_d, div_of = _divisor_masks(k)
     key = (1 | 1 << k, 0, -1)
     with pytest.raises(AssertionError, match="m=0"):
-        list(_descend(k, 1, key, div_of, TableStats(), 1))
+        _descend(k, 1, key, div_of)
 
 
 def test_deterministic_repeat_runs():
