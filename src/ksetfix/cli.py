@@ -45,14 +45,15 @@ def _int_range(low: int, high: int | None = None):
 
 def _writable_file(text: str) -> str:
     """argparse type: a path in an existing directory that is not itself a
-    directory and, if it exists, is writable."""
+    directory and is writable: the file if it exists, else its directory."""
     if not text:
         raise argparse.ArgumentTypeError("file path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
-    if not os.path.isdir(os.path.dirname(text) or "."):
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"no directory to hold file {text!r}")
-    if os.path.exists(text) and not os.access(text, os.W_OK):
+    if not os.access(text if os.path.exists(text) else directory, os.W_OK):
         raise argparse.ArgumentTypeError(f"file {text!r} is not writable")
     return text
 

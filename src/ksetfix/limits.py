@@ -27,21 +27,19 @@ splits the state into the two terms of its binomial weight. A row count
 per A rides along. The polynomial keeps the numerators over that one
 denominator.
 
-Positions k/2 < j < k are settled in closed form. There m_j is 0 or 1,
-and m_j = 1 is the capped case with weight 1 - e^{-1/j}. A subset
-summing to k holds at most one part larger than k/2, so once the small
-positions have fixed A, m_j = 1 is allowed exactly when bit k-j of A is
-clear, independently of the other large positions. An allowed position
-contributes e^{-1/j} + (1 - e^{-1/j}) = 1 and doubles the row count; a
-forbidden one contributes e^{-1/j}. This reproduces the row-by-row sum
-exactly.
+Positions k/2 < j < k are settled in closed form, by the rule in the
+docstring of :func:`~ksetfix.partitions.part_ladder`: m_j = 1, the
+capped case with weight 1 - e^{-1/j}, is allowed exactly when bit k-j
+of A is clear. An allowed position contributes e^{-1/j} + (1 - e^{-1/j})
+= 1 and doubles the row count; a forbidden one contributes e^{-1/j}.
+This reproduces the row-by-row sum exactly.
 
 The limiting CLI commands check this count, through
 :func:`limiting_survival_checked`, against the independent one of
 :func:`ksetfix.table.enumerate_rows`, which also gives the pruning
 counters. That function counts the rows by its own dynamic programme
-over row prefixes; only for ``limit --emit-rows`` does it also replay
-the programme's kept steps to deliver the rows one by one.
+over row prefixes; only for ``limit --emit-rows`` does it also walk the
+rows one by one, split at k/2 as here, and check their number.
 
 The comparison with the order k^-delta (ln k)^-3/2 of i(k) takes the
 fix probability from :func:`evaluate` and the growth factor from the
@@ -151,7 +149,7 @@ def _expand_groups(
     total: dict[int, int] = {}
     row_count = 0
     for reach, nums in states.items():
-        # e^{-1/k}, and e^{-1/j} for each large part j that must stay absent
+        # e^{-1/k}, and e^{-1/j} for each large j that part_ladder's rule forbids
         forced = 1 << (k - 1)
         free = 0
         for j in range(k // 2 + 1, k):
@@ -172,7 +170,7 @@ def limiting_survival_checked(
 
     The counters come from :func:`~ksetfix.table.enumerate_rows`, which
     counts the k-free rows without visiting them and, when ``consumer``
-    is given, also replays its steps to deliver every row to it. A row
+    is given, also walks the rows to deliver every one to it. A row
     count that differs from the survival programme's is an internal
     invariant violation.
     """
@@ -280,10 +278,10 @@ def efg_ratio(k: int, digits: int) -> HighPrecisionDecimal:
 
     The comparison curve is the order of i(k) found by Eberhard, Ford and
     Green, "Permutations fixing a k-set" (IMRN 2016). The ratio is the
-    fix probability i(k) from :func:`evaluate` at digits + G places, G =
-    :data:`_RATIO_GUARD`, times the growth factor k^d (ln k)^3/2 from
-    the correctly rounded ``ln``, ``exp`` and ``sqrt`` of one decimal
-    context of digits + G + 4 significant digits.
+    fix probability from :func:`limiting_fix_probability` at digits + G
+    places, G = :data:`_RATIO_GUARD`, times the growth factor k^d
+    (ln k)^3/2 from the correctly rounded ``ln``, ``exp`` and ``sqrt`` of
+    one decimal context of digits + G + 4 significant digits.
 
     Audit: the fix probability errs by under 10**-(digits+G), and for
     k < 10**9 the growth factor is below 10**3, so that error reaches
@@ -300,7 +298,7 @@ def efg_ratio(k: int, digits: int) -> HighPrecisionDecimal:
         raise ValueError("the ratio needs k >= 2 (positive ln k)")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    fix = evaluate(limiting_survival(k), digits + _RATIO_GUARD).complement()
+    fix = limiting_fix_probability(k, digits + _RATIO_GUARD)
     ctx = _context(digits + _RATIO_GUARD + 4)
     lnk = ctx.ln(k)
     growth = ctx.multiply(

@@ -94,20 +94,20 @@ def _poisson_cdf(mean: float) -> list[float]:
     return cdf
 
 
-def _byte_table(cdf: list[float], cap: int) -> bytes:
-    """Entry t: min(bisect_right(cdf, u), cap) for every u in [t/256, (t+1)/256).
+def _byte_table(cdf: list[float]) -> bytes:
+    """Entry t: bisect_right(cdf, u) for every u in [t/256, (t+1)/256).
 
-    The entry is 255 where that interval holds a step of the CDF below
-    the cap, so that u itself decides the count.
+    The entry is 255 where that interval holds a step of the CDF, so
+    that u itself decides the count.
     """
     table = bytearray()
-    for m, step in enumerate(cdf[:cap]):  # the count is m for u < step
+    for m, step in enumerate(cdf):  # the count is m for u < step
         edge = step * 256
         byte = int(edge)
         table += bytes([m]) * (byte - len(table))
         if byte < edge and len(table) == byte:  # the step is inside this byte
             table.append(_UNDECIDED)
-    table += bytes([min(len(cdf), cap)]) * (256 - len(table))
+    table += bytes([len(cdf)]) * (256 - len(table))
     return bytes(table)
 
 
@@ -128,9 +128,8 @@ def sample_limit_survival(k: int, samples: int, seed: int) -> McEstimate:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     sizes = range(1, k + 1)
-    cdfs = [_poisson_cdf(1.0 / j) for j in sizes]
-    caps = [k // j for j in sizes]
-    tables = [_byte_table(cdf, cap) for cdf, cap in zip(cdfs, caps)]
+    cdfs = [_poisson_cdf(1.0 / j)[:k // j] for j in sizes]
+    tables = [_byte_table(cdf) for cdf in cdfs]
     row_format = f"{k}s"  # one sample's k counts
     full = (1 << (k + 1)) - 1
     verdicts: dict[tuple[bytes], bool] = {}
@@ -147,8 +146,7 @@ def sample_limit_survival(k: int, samples: int, seed: int) -> McEstimate:
         while i >= 0:
             w0, w1 = unpack_from("<II", raw, 8 * i)  # as random() reads them
             u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
-            p = i % k
-            counts[i] = min(bisect_right(cdfs[p], u), caps[p])
+            counts[i] = bisect_right(cdfs[i % k], u)
             i = counts.find(_UNDECIDED, i + 1)
         rows = list(iter_unpack(row_format, counts))
         if len(verdicts) >= _VERDICT_CACHE:

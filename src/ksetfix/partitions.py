@@ -106,6 +106,11 @@ def part_ladder(reach: int, j: int, k: int) -> list[int]:
     so prefixes that differ only in higher bits can share a state. The
     test for k here reads bits k - i*j <= k - j of ``reach``, so a mask
     trimmed after part j - 1 gives the same list.
+
+    Large parts: for k/2 < j < k, m_j is 0 or 1, and 1 is allowed
+    exactly when bit k - j of the mask left by the parts up to k/2 is
+    clear, whatever the other large parts are: each adds only sums above
+    k/2 > k - j. The engines settle these positions by this rule.
     """
     kbit = 1 << k
     keep = (1 << (k - j)) - 1

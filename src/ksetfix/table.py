@@ -24,13 +24,15 @@ with their number, which gives the counters of a walk over every prefix
 in time that grows with the number of keys, not of rows. It returns the
 counters as one :class:`TableStats`. The limiting commands check their
 row count and print the pruning counters from it.
-Asked for the rows (``limit --emit-rows``), the programme also keeps
-each key's children, and a depth-first replay of them delivers the rows.
-The row-by-row walk lives with the tests, as the oracle.
+Asked for the rows (``limit --emit-rows``), it walks them depth-first,
+branching on :func:`part_ladder` at the positions j <= k/2 and taking
+the larger ones in the limiting engine's closed form, and checks their
+number against its count. The tests walk :func:`_descend` as the oracle.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .partitions import part_ladder
@@ -125,46 +127,42 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
 
     The programme keeps the number of prefixes per key, runs
     :func:`_descend` once per key and position, and adds the step's
-    tallies times that number into the counters. With a consumer it also
-    keeps each key's children, and a depth-first replay over them
-    delivers the rows in decreasing lexicographic order, from
-    (k-1, 0, ..., 0) to all zeros.
+    tallies times that number into the counters. With a consumer, the
+    walk of the module docstring then delivers the rows in decreasing
+    lexicographic order, from (k-1, 0, ..., 0) to all zeros, and raises
+    :class:`AssertionError` if their number differs from the count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     usable_d, div_of = _divisor_masks(k)
-    root = (1, usable_d, 0)
-    states = {root: 1}
-    steps: list[dict[Key, list[tuple[int, Key]]]] = []
+    states = {(1, usable_d, 0): 1}
     universal = divisible = full = 0
     for j in range(1, k):
         nxt: dict[Key, int] = {}
-        kept: dict[Key, list[tuple[int, Key]]] = {}
         for key, count in states.items():
             children, u, d, f = _descend(k, j, key, div_of)
             universal += u * count
             divisible += d * count
             full += f * count
-            if consumer is not None:
-                kept[key] = children
             for _, child in children:
                 nxt[child] = nxt.get(child, 0) + count
-        steps.append(kept)
         states = nxt
+    rows = sum(states.values())
 
-    def replay(j: int, key: Key, prefix: tuple[int, ...]) -> None:
-        if j == k - 1:
-            consumer(prefix)
-            return
-        for m, child in steps[j][key]:
-            replay(j + 1, child, prefix + (m,))
+    def walk(j: int, reach: int, prefix: tuple[int, ...]) -> int:
+        if 2 * j > k:  # the closed form in part_ladder's docstring
+            tails = list(product(*[(0,) if reach >> (k - i) & 1 else (1, 0)
+                                   for i in range(j, k)]))
+            for tail in tails:
+                consumer(prefix + tail)
+            return len(tails)
+        ladder = part_ladder(reach, j, k)
+        return sum(walk(j + 1, ladder[m], prefix + (m,))
+                   for m in range(len(ladder) - 1, -1, -1))
 
-    if consumer is not None:
-        replay(0, root, ())
-    return TableStats(
-        sum(states.values()), universal + divisible + full,
-        universal, divisible, full,
-    )
+    if consumer is not None and walk(1, 1, ()) != rows:
+        raise AssertionError("the walk's row count differs from the table's")
+    return TableStats(rows, universal + divisible + full, universal, divisible, full)
 
 
 def rows_count(k: int) -> int:

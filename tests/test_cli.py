@@ -45,8 +45,8 @@ def test_limit_emit_rows(runner, tmp_path):
 
 @pytest.mark.parametrize("k", [1, 7, 12, 16])
 def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
-    # --emit-rows replays the counting programme's kept steps into the
-    # rows file; the counters and the rows are those of the prefix walk
+    # --emit-rows walks the rows apart from the counting programme; the
+    # counters and the rows are those of the prefix walk
     from reference_data import descend_walk
 
     path = tmp_path / "rows.csv"
@@ -314,6 +314,25 @@ def test_usage_error_cases_exit_two(runner, tmp_path, case):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["limit-table", "--k-max", "2", "--output"], ["limit", "--k", "3", "--emit-rows"]],
+    ids=["output", "emit-rows"],
+)
+def test_file_in_unwritable_directory_exits_two(runner, tmp_path, monkeypatch, args):
+    # for root every directory is writable, so os.access stands in for chmod
+    import os
+
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: str(path) != str(tmp_path) and access(path, mode)
+    )
+    result = runner.invoke(main, [*args, str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
 # every option of each command, with the default its help page shows
 COMMAND_OPTIONS = {
     "limit": {"--k": None, "--digits": "8", "--emit-rows": None, "--jobs": "1"},
@@ -432,6 +451,24 @@ def test_ratio_budget_check_survives_optimize_flag():
     proc = run_with_broken_guard("ratio", "--k-max", "3")
     assert proc.returncode == 3, proc.stderr
     assert "error budget" in proc.stderr
+
+
+def test_row_walk_check_survives_optimize_flag(tmp_path):
+    # a walk that drops rows disagrees with the programme's count; the check
+    # is a raise, not an assert, so python -O keeps it and the CLI exits 3
+    script = (
+        "import sys\n"
+        "from itertools import islice, product\n"
+        "from ksetfix import cli, table\n"
+        "table.product = lambda *free: islice(product(*free), 1, None)\n"
+        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
+        "cli.run()\n"
+    )
+    rows = str(tmp_path / "rows.csv")
+    proc = run_script(script, "limit", "--k", "5", "--emit-rows", rows, flags=("-O",))
+    assert proc.returncode == 3, proc.stderr
+    assert "internal invariant violation" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -163,7 +163,7 @@ def test_random_stream_identity(seed):
 def test_byte_table_entries_decide_their_whole_interval(j):
     cdf = _poisson_cdf(1 / j)
     for cap in sorted({1, 2, 3, max(1, 64 // j), 100}):
-        table = _byte_table(cdf, cap)
+        table = _byte_table(cdf[:cap])
         assert len(table) == 256
         for t, count in enumerate(table):
             ends = (t / 256, nextafter((t + 1) / 256, 0.0))

@@ -139,8 +139,8 @@ def test_counter_identity():
     + [pytest.param(k, marks=pytest.mark.longrun) for k in range(21, 25)],
 )
 def test_count_path_matches_walk(k):
-    # the programme, counting or replaying its kept steps, against the
-    # walk that runs the descend step on every prefix
+    # the programme, counting, and its row walk against the walk that
+    # runs the descend step on every prefix
     walked_rows = []
     walked = descend_walk(k, walked_rows.append)
     emitted_rows, emitted = collect(k)
@@ -153,6 +153,18 @@ def test_count_path_k30_counters():
     # while its reference row count is in question
     assert enumerate_rows(30) == TableStats(12022223, 19500808, 404452, 2925, 19093431)
     assert LIMIT_TABLE_8DP[30][1] == 12022223
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_walk_that_disagrees_with_the_count_raises(monkeypatch, k):
+    # the rows come from a walk of their own, checked against the count
+    from itertools import islice
+
+    from ksetfix import table
+
+    monkeypatch.setattr(table, "product", lambda *free: islice(product(*free), 1, None))
+    with pytest.raises(AssertionError, match="walk"):
+        enumerate_rows(k, lambda row: None)
 
 
 def test_descend_rejects_a_prefix_that_is_not_k_free():
