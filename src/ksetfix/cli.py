@@ -22,6 +22,7 @@ become a plain function once the tracer reads a run report instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from itertools import groupby
@@ -76,10 +77,20 @@ def limit(args) -> list[str]:
     if args.emit_rows is None:
         survival, stats = limits.limiting_survival_checked(k)
     else:
-        with open(args.emit_rows, "w", encoding="utf-8", newline="\n") as fh:
-            survival, stats = limits.limiting_survival_checked(
-                k, lambda row: fh.write(",".join(map(str, row)) + "\n")
-            )
+        fh = open(args.emit_rows, "w", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                survival, stats = limits.limiting_survival_checked(
+                    k, lambda row: fh.write(",".join(map(str, row)) + "\n")
+                )
+        except BaseException:
+            # a failed or interrupted run leaves no partial rows file; a
+            # FIFO, device or symlink (/dev/stdout) is left alone
+            with contextlib.suppress(OSError):
+                path = args.emit_rows
+                if os.path.isfile(path) and not os.path.islink(path):
+                    os.remove(path)
+            raise
     surv = limits.evaluate(survival, args.digits)
     fix = surv.complement()
     return [

@@ -29,11 +29,14 @@ Mersenne Twister: ``getrandbits(64 * N)``, written as 8N little-endian
 bytes, advances the generator exactly as N calls of ``random()`` do, and
 draw i is the pair of 32-bit words at byte 8i, with ``random()`` equal
 to ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``. Byte 8i + 3, the top
-byte of w0, is then ``floor(256 * u)``. For almost every byte value the
-whole interval of u it stands for inverts to one capped count, so one
-256-byte table per position turns a column of draws into counts at
-once; the draws in the other intervals (under 1 %) rebuild u and
-bisect. Each distinct row of counts is then decided once.
+byte of w0, is then ``floor(256 * u)``. A sample has at least c parts j
+exactly when its draw u at position j is at least step c - 1 of the
+Poisson CDF; every byte but the one whose interval holds that step
+decides this for its whole interval, and the draws in that byte rebuild
+u. So one ``bytes.translate`` of a column of top bytes gives, as a
+base-2 numeral, the samples of a block with one more part j, and the
+knapsack runs on the whole block at once, transposed: plane s is an
+integer whose bit i says that some parts of sample i sum to s.
 ``test_random_stream_identity`` in ``tests/test_montecarlo.py`` pins the
 identity, so the tests fail if CPython ever changes it.
 
@@ -43,10 +46,9 @@ Estimates come with the binomial standard error sqrt(p(1-p)/S).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import compress, repeat, starmap
+from itertools import repeat, starmap
 from math import exp, sqrt
-from struct import iter_unpack, unpack_from
+from struct import unpack_from
 from typing import NamedTuple
 
 # not used here; the benchmark's tracer hooks this name on this module
@@ -55,12 +57,8 @@ from .partitions import is_k_free  # noqa: F401
 # Poisson counts above this would signal a broken CDF table (for means
 # <= 1 the chance of even 30 is astronomically small)
 _COUNT_CAP = 64
-# a byte-table entry whose byte interval of u straddles a CDF step
-_UNDECIDED = 255
-# draws per block of the limiting sampler: 8 bytes each, 64 KB a block
-_BLOCK_DRAWS = 8192
-# distinct count rows whose verdicts the limiting sampler keeps at once
-_VERDICT_CACHE = 65536
+# samples per block of the limiting sampler: 8k random bytes and one bit each
+_BLOCK_SAMPLES = 1024
 
 
 class McEstimate(NamedTuple):
@@ -94,21 +92,14 @@ def _poisson_cdf(mean: float) -> list[float]:
     return cdf
 
 
-def _byte_table(cdf: list[float]) -> bytes:
-    """Entry t: bisect_right(cdf, u) for every u in [t/256, (t+1)/256).
+def _threshold(step: float) -> tuple[float, int, bytes]:
+    """A CDF step, its edge byte and the table that sends every top byte of
+    u to "1" if its whole interval has u >= step, else to "0".
 
-    The entry is 255 where that interval holds a step of the CDF, so
-    that u itself decides the count.
+    The edge byte's interval holds the step, so u itself decides there.
     """
-    table = bytearray()
-    for m, step in enumerate(cdf):  # the count is m for u < step
-        edge = step * 256
-        byte = int(edge)
-        table += bytes([m]) * (byte - len(table))
-        if byte < edge and len(table) == byte:  # the step is inside this byte
-            table.append(_UNDECIDED)
-    table += bytes([len(cdf)]) * (256 - len(table))
-    return bytes(table)
+    edge = min(int(step * 256), 255)  # the CDFs of j = 1, 2, 3 end at 1.0
+    return step, edge, b"0" * (edge + 1) + b"1" * (255 - edge)
 
 
 def _binomial_stderr(hits: int, samples: int) -> float:
@@ -127,38 +118,31 @@ def sample_limit_survival(k: int, samples: int, seed: int) -> McEstimate:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    sizes = range(1, k + 1)
-    cdfs = [_poisson_cdf(1.0 / j)[:k // j] for j in sizes]
-    tables = [_byte_table(cdf) for cdf in cdfs]
-    row_format = f"{k}s"  # one sample's k counts
-    full = (1 << (k + 1)) - 1
-    verdicts: dict[tuple[bytes], bool] = {}
-    block = max(1, _BLOCK_DRAWS // k)
+    steps = [list(map(_threshold, _poisson_cdf(1.0 / j)[:k // j]))
+             for j in range(1, k + 1)]
     stride = 8 * k
     free = 0
-    for start in range(0, samples, block):
-        draws = k * min(block, samples - start)
-        raw = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")
-        counts = bytearray(draws)
-        for p, table in enumerate(tables):
-            counts[p::k] = raw[8 * p + 3::stride].translate(table)
-        i = counts.find(_UNDECIDED)
-        while i >= 0:
-            w0, w1 = unpack_from("<II", raw, 8 * i)  # as random() reads them
-            u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
-            counts[i] = bisect_right(cdfs[i % k], u)
-            i = counts.find(_UNDECIDED, i + 1)
-        rows = list(iter_unpack(row_format, counts))
-        if len(verdicts) >= _VERDICT_CACHE:
-            verdicts.clear()
-        for key in set(rows).difference(verdicts):
-            ms = key[0]
-            bits = 1
-            for j in compress(sizes, ms):  # ms[j - 1] <= k // j copies
-                for _ in range(ms[j - 1]):
-                    bits |= bits << j & full
-            verdicts[key] = not bits >> k & 1
-        free += sum(map(verdicts.__getitem__, rows))
+    for start in range(0, samples, _BLOCK_SAMPLES):
+        b = min(_BLOCK_SAMPLES, samples - start)
+        raw = rng.getrandbits(64 * k * b).to_bytes(stride * b, "little")
+        plane = [(1 << b) - 1] + [0] * k
+        for j, cuts in enumerate(steps, 1):
+            top = raw[8 * j - 5::stride]
+            for step, edge, table in cuts:
+                more = bytearray(top.translate(table))
+                i = top.find(edge)
+                while i >= 0:
+                    w0, w1 = unpack_from("<II", raw, stride * i + 8 * j - 8)
+                    u = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) / 9007199254740992.0
+                    if u >= step:
+                        more[i] = 49  # ord("1")
+                    i = top.find(edge, i + 1)
+                have = int(more, 2)
+                if not have:
+                    break
+                for s in range(k, j - 1, -1):
+                    plane[s] |= plane[s - j] & have
+        free += b - plane[k].bit_count()
     return McEstimate(free / samples, _binomial_stderr(free, samples), samples, seed)
 
 

@@ -469,6 +469,37 @@ def test_row_walk_check_survives_optimize_flag(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "internal invariant violation" in proc.stderr
     assert proc.stdout == ""
+    assert not (tmp_path / "rows.csv").exists()  # no partial rows file stays
+
+
+@pytest.mark.parametrize("target", ["file", "symlink"])
+def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, target):
+    # an interrupt after a few rows removes the rows file; a path that is
+    # not a regular file itself, here a symlink, is left as it is
+    from ksetfix import limits
+
+    checked = limits.limiting_survival_checked
+
+    def interrupted(k, consumer):
+        rows = []
+
+        def take(row):
+            consumer(row)
+            rows.append(row)
+            if len(rows) == 3:
+                raise KeyboardInterrupt
+
+        return checked(k, take)
+
+    monkeypatch.setattr(limits, "limiting_survival_checked", interrupted)
+    path = tmp_path / "rows.csv"
+    if target == "symlink":
+        (tmp_path / "kept.csv").touch()
+        path.symlink_to(tmp_path / "kept.csv")
+    with pytest.raises(KeyboardInterrupt):
+        main.main(["limit", "--k", "12", "--emit-rows", str(path)])
+    assert path.is_symlink() == (target == "symlink")
+    assert path.exists() == (target == "symlink")
 
 
 def test_closed_stdout_exits_one_without_traceback():

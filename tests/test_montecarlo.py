@@ -1,7 +1,7 @@
 """Samplers: determinism, distribution sanity, agreement with exact values."""
 
 import random
-from bisect import bisect_right
+import tracemalloc
 from fractions import Fraction
 from math import nextafter, sqrt
 from struct import iter_unpack
@@ -10,8 +10,8 @@ import pytest
 
 from ksetfix.finite import finite_fix_probability
 from ksetfix.montecarlo import (
-    _byte_table,
     _poisson_cdf,
+    _threshold,
     sample_finite_fix,
     sample_limit_survival,
 )
@@ -113,14 +113,13 @@ def test_limit_sampler_equals_is_k_free_oracle(k, seed):
     assert fast == slow
 
 
-# the limiting sampler reads 8192 // k samples per block (481 at k = 17,
-# 128 at k = 64): one sample, a block less one, a whole block, a block
-# and one, and several blocks
+# the limiting sampler reads 1024 samples per block: one sample, a block
+# less one, a whole block, a block and one, and two blocks either side
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
     "k, samples",
-    [(1, 1), (17, 1), (64, 1), (17, 480), (17, 481), (17, 482),
-     (64, 127), (64, 128), (64, 129), (64, 1000)],
+    [(1, 1), (17, 1), (64, 1), (1, 1023), (1, 1024), (1, 1025), (17, 1024),
+     (17, 1025), (64, 2047), (64, 2049)],
 )
 def test_limit_sampler_equals_oracle_across_blocks(k, samples, seed):
     fast = sample_limit_survival(k, samples, seed)
@@ -159,16 +158,29 @@ def test_random_stream_identity(seed):
     assert blocked.random() == single.random()
 
 
+# the sampler reads u >= step from the top byte of u, except in the edge
+# byte, whose interval holds the step; the full CDF has steps equal to 1.0
 @pytest.mark.parametrize("j", range(1, 65))
-def test_byte_table_entries_decide_their_whole_interval(j):
-    cdf = _poisson_cdf(1 / j)
-    for cap in sorted({1, 2, 3, max(1, 64 // j), 100}):
-        table = _byte_table(cdf[:cap])
-        assert len(table) == 256
-        for t, count in enumerate(table):
+def test_threshold_tables_decide_every_byte_but_the_edge(j):
+    for step in _poisson_cdf(1 / j):
+        same, edge, table = _threshold(step)
+        assert same == step
+        assert len(table) == 256 and set(table) <= set(b"01")
+        assert edge / 256 <= step < (edge + 1) / 256 or (step, edge) == (1.0, 255)
+        for t, bit in enumerate(table):
+            if t == edge:
+                continue
             ends = (t / 256, nextafter((t + 1) / 256, 0.0))
-            got = {min(bisect_right(cdf, u), cap) for u in ends}
-            if count == 255:
-                assert len(got) == 2, (cap, t)  # undecided only on a real step
-            else:
-                assert got == {count}, (cap, t)
+            assert {u >= step for u in ends} == {bit == ord("1")}, (step, t)
+
+
+# a block's planes and random bytes bound the sampler's memory, whatever
+# the sample count
+def test_limit_sampler_memory_does_not_grow_with_samples():
+    peaks = []
+    for samples in (4096, 40960):
+        tracemalloc.start()
+        sample_limit_survival(30, samples, 1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
