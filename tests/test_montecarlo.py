@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from math import nextafter, sqrt
 from struct import iter_unpack
@@ -114,12 +115,16 @@ def test_limit_sampler_equals_is_k_free_oracle(k, seed):
 
 
 # the limiting sampler reads 1024 samples per block: one sample, a block
-# less one, a whole block, a block and one, and two blocks either side
+# less one, a whole block, a block and one, two blocks either side, and
+# counts that leave the last block partly filled
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
     "k, samples",
     [(1, 1), (17, 1), (64, 1), (1, 1023), (1, 1024), (1, 1025), (17, 1024),
-     (17, 1025), (64, 2047), (64, 2049)],
+     (17, 1025), (64, 2047), (64, 2049),
+     # odd block edges: a short last block at several fill levels
+     (17, 480), (17, 481), (17, 482), (64, 127), (64, 128), (64, 129),
+     (64, 1000)],
 )
 def test_limit_sampler_equals_oracle_across_blocks(k, samples, seed):
     fast = sample_limit_survival(k, samples, seed)
@@ -159,11 +164,14 @@ def test_random_stream_identity(seed):
 
 
 # the sampler reads u >= step from the top byte of u, except in the edge
-# byte, whose interval holds the step; the full CDF has steps equal to 1.0
+# byte, whose interval holds the step; the full CDF has steps equal to 1.0.
+# Summed over the first cap steps, the table bits of a byte that is no
+# step's edge give the capped Poisson count of its whole interval.
 @pytest.mark.parametrize("j", range(1, 65))
-def test_threshold_tables_decide_every_byte_but_the_edge(j):
-    for step in _poisson_cdf(1 / j):
-        same, edge, table = _threshold(step)
+def test_byte_table_entries_decide_their_whole_interval(j):
+    cdf = _poisson_cdf(1 / j)
+    thresholds = list(map(_threshold, cdf))
+    for step, (same, edge, table) in zip(cdf, thresholds):
         assert same == step
         assert len(table) == 256 and set(table) <= set(b"01")
         assert edge / 256 <= step < (edge + 1) / 256 or (step, edge) == (1.0, 255)
@@ -172,6 +180,15 @@ def test_threshold_tables_decide_every_byte_but_the_edge(j):
                 continue
             ends = (t / 256, nextafter((t + 1) / 256, 0.0))
             assert {u >= step for u in ends} == {bit == ord("1")}, (step, t)
+    for cap in sorted({1, 2, 3, max(1, 64 // j), 100}):
+        edges = {edge for _, edge, _ in thresholds[:cap]}
+        for t in range(256):
+            if t in edges:
+                continue
+            count = sum(table[t] == ord("1") for _, _, table in thresholds[:cap])
+            ends = (t / 256, nextafter((t + 1) / 256, 0.0))
+            got = {min(bisect_right(cdf, u), cap) for u in ends}
+            assert got == {count}, (cap, t)
 
 
 # a block's planes and random bytes bound the sampler's memory, whatever
