@@ -9,7 +9,7 @@ The package computes, in exact arithmetic throughout:
 * the k-free rows and their pruning counters, by a dynamic programme
   that runs one pruned descend step once per merged row prefix and,
   when asked for the rows, a depth-first walk that settles the parts
-  above k/2 in the limiting engine's closed form;
+  above k/2 in the limiting engine's closed form and writes CSV text;
 * the finite-degree probabilities for every degree up to a bound, one
   k per run, by a dynamic programme over achievable-sum masks;
 * Monte Carlo estimates of both, for cross-validation.

@@ -80,9 +80,7 @@ def limit(args) -> list[str]:
         fh = open(args.emit_rows, "w", encoding="utf-8", newline="\n")
         try:
             with fh:
-                survival, stats = limits.limiting_survival_checked(
-                    k, lambda row: fh.write(",".join(map(str, row)) + "\n")
-                )
+                survival, stats = limits.limiting_survival_checked(k, fh.write)
         except BaseException:
             # a failed or interrupted run leaves no partial rows file; a
             # FIFO, device or symlink (/dev/stdout) is left alone

@@ -38,8 +38,8 @@ The limiting CLI commands check this count, through
 :func:`limiting_survival_checked`, against the independent one of
 :func:`ksetfix.table.enumerate_rows`, which also gives the pruning
 counters. That function counts the rows by its own dynamic programme
-over row prefixes; only for ``limit --emit-rows`` does it also walk the
-rows one by one, split at k/2 as here, and check their number.
+over row prefixes; only for ``limit --emit-rows`` does it also write the
+rows as CSV text, walking them split at k/2 as here, and check their number.
 
 The comparison with the order k^-delta (ln k)^-3/2 of i(k) takes the
 fix probability from :func:`evaluate` and the growth factor from the
@@ -52,10 +52,10 @@ from __future__ import annotations
 
 from decimal import Context, Decimal
 from math import factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exppoly import ExpPoly
-from .partitions import part_ladder
+from .partitions import free_large_parts, part_ladder
 from .precision import (
     _context,
     _scaled,
@@ -63,7 +63,7 @@ from .precision import (
     format_scaled,
     round_scaled,
 )
-from .table import RowSink, TableStats, enumerate_rows
+from .table import TableStats, enumerate_rows
 
 # extra decimal digits carried by evaluate() beyond the requested ones,
 # on top of the digits of the coefficient mass; evaluate_scaled errs by
@@ -148,34 +148,30 @@ def _expand_groups(
     """Settle the positions k/2 < j <= k of every achievable-sum group at once."""
     total: dict[int, int] = {}
     row_count = 0
+    large = (1 << k) - (1 << (k // 2))  # bits j - 1 for k/2 < j <= k
     for reach, nums in states.items():
-        # e^{-1/k}, and e^{-1/j} for each large j that part_ladder's rule forbids
-        forced = 1 << (k - 1)
-        free = 0
-        for j in range(k // 2 + 1, k):
-            if reach >> (k - j) & 1:
-                forced |= 1 << (j - 1)
-            else:
-                free += 1
-        row_count += rows[reach] << free
+        # e^{-1/k}, and e^{-1/j} for each large j that is not free
+        free = free_large_parts(reach, k)
+        forced = large & ~free
+        row_count += rows[reach] << free.bit_count()
         for e, v in nums.items():
             total[e | forced] = total.get(e | forced, 0) + v
     return ExpPoly(total, common), row_count
 
 
 def limiting_survival_checked(
-    k: int, consumer: RowSink | None = None
+    k: int, write: Callable[[str], object] | None = None
 ) -> tuple[ExpPoly, TableStats]:
     """The survival polynomial, and the table counters that check it.
 
     The counters come from :func:`~ksetfix.table.enumerate_rows`, which
-    counts the k-free rows without visiting them and, when ``consumer``
-    is given, also walks the rows to deliver every one to it. A row
-    count that differs from the survival programme's is an internal
-    invariant violation.
+    counts the k-free rows without visiting them and, when ``write`` is
+    given, also walks the rows and passes them to it as CSV text blocks.
+    A row count that differs from the survival programme's is an
+    internal invariant violation.
     """
     survival, rows = limiting_survival_with_stats(k)
-    stats = enumerate_rows(k, consumer)
+    stats = enumerate_rows(k, write)
     if stats.rows_emitted != rows:
         raise AssertionError(
             f"the table counted {stats.rows_emitted} rows, the DP {rows}"

@@ -13,8 +13,8 @@ criterion certifies k-freeness outright for some inputs, and a bounded
 knapsack over a bit vector settles the rest. No command calls these
 tests at run time: the engines carry achievable-sum masks of their own,
 and ``is_k_free`` is the public API and their test oracle.
-:func:`part_ladder` is run-time code: the limiting programme and the
-row table grow and trim their masks by it.
+:func:`part_ladder` and :func:`free_large_parts` are run-time code: the
+limiting programme and the row table grow and trim their masks by them.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def part_ladder(reach: int, j: int, k: int) -> list[int]:
     Large parts: for k/2 < j < k, m_j is 0 or 1, and 1 is allowed
     exactly when bit k - j of the mask left by the parts up to k/2 is
     clear, whatever the other large parts are: each adds only sums above
-    k/2 > k - j. The engines settle these positions by this rule.
+    k/2 > k - j. The engines settle them by :func:`free_large_parts`.
     """
     kbit = 1 << k
     keep = (1 << (k - j)) - 1
@@ -121,3 +121,8 @@ def part_ladder(reach: int, j: int, k: int) -> list[int]:
         ladder.append(reach & keep)
         reach |= reach << j
     return ladder
+
+
+def free_large_parts(reach: int, k: int) -> int:
+    """Bits j - 1 of the k/2 < j < k that part_ladder's rule frees after ``reach``."""
+    return sum(1 << (j - 1) for j in range(k // 2 + 1, k) if not reach >> (k - j) & 1)

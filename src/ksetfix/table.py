@@ -26,8 +26,9 @@ counters as one :class:`TableStats`. The limiting commands check their
 row count and print the pruning counters from it.
 Asked for the rows (``limit --emit-rows``), it walks them depth-first,
 branching on :func:`part_ladder` at the positions j <= k/2 and taking
-the larger ones in the limiting engine's closed form, and checks their
-number against its count. The tests walk :func:`_descend` as the oracle.
+the larger ones in the limiting engine's closed form, writes them as CSV
+text, one block of lines per prefix, and checks their number against its
+count. The tests parse the text, and walk :func:`_descend` as the oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .partitions import part_ladder
+from .partitions import free_large_parts, part_ladder
 
-RowSink = Callable[[tuple[int, ...]], None]
 Key = tuple[int, int, int]
 
 
@@ -122,15 +122,15 @@ def _descend(
     return children, universal, divisible, full
 
 
-def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
-    """Count the k-free rows; given a consumer, deliver each row once to it.
+def enumerate_rows(k: int, write: Callable[[str], object] | None = None) -> TableStats:
+    """Count the k-free rows; given ``write``, pass them to it as CSV text.
 
     The programme keeps the number of prefixes per key, runs
     :func:`_descend` once per key and position, and adds the step's
-    tallies times that number into the counters. With a consumer, the
-    walk of the module docstring then delivers the rows in decreasing
-    lexicographic order, from (k-1, 0, ..., 0) to all zeros, and raises
-    :class:`AssertionError` if their number differs from the count.
+    tallies times that number into the counters. With ``write``, the
+    walk of the module docstring then passes it the rows as CSV lines, in
+    decreasing lexicographic order from (k-1, 0, ..., 0) to all zeros, and
+    raises :class:`AssertionError` if their number differs from the count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -149,18 +149,19 @@ def enumerate_rows(k: int, consumer: RowSink | None = None) -> TableStats:
         states = nxt
     rows = sum(states.values())
 
-    def walk(j: int, reach: int, prefix: tuple[int, ...]) -> int:
+    def walk(j: int, reach: int, prefix: str) -> int:
         if 2 * j > k:  # the closed form in part_ladder's docstring
-            tails = list(product(*[(0,) if reach >> (k - i) & 1 else (1, 0)
-                                   for i in range(j, k)]))
-            for tail in tails:
-                consumer(prefix + tail)
+            free = free_large_parts(reach, k)
+            tails = [",".join(tail) for tail in product(
+                *[("1", "0") if free >> (i - 1) & 1 else ("0",) for i in range(j, k)])]
+            head = prefix if j < k else prefix[:-1]  # j == k: no tail to follow
+            write(head + ("\n" + head).join(tails) + "\n")
             return len(tails)
         ladder = part_ladder(reach, j, k)
-        return sum(walk(j + 1, ladder[m], prefix + (m,))
+        return sum(walk(j + 1, ladder[m], f"{prefix}{m},")
                    for m in range(len(ladder) - 1, -1, -1))
 
-    if consumer is not None and walk(1, 1, ()) != rows:
+    if write is not None and walk(1, 1, "") != rows:
         raise AssertionError("the walk's row count differs from the table's")
     return TableStats(rows, universal + divisible + full, universal, divisible, full)
 

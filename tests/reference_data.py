@@ -379,6 +379,20 @@ def descend_walk(k: int, consumer):
     return TableStats(rows, universal + divisible + full, universal, divisible, full)
 
 
+def emitted_rows(k: int):
+    """The rows ``enumerate_rows`` writes, parsed back into tuples, and its stats.
+
+    Each CSV line is one row; k = 1's single empty line is the empty row.
+    """
+    from ksetfix.table import enumerate_rows
+
+    chunks: list[str] = []
+    stats = enumerate_rows(k, chunks.append)
+    rows = [tuple(map(int, line.split(","))) if line else ()
+            for line in "".join(chunks).splitlines()]
+    return rows, stats
+
+
 # --- exponential-polynomial algebra and the row-by-row limiting sum ---
 
 
@@ -547,16 +561,14 @@ def series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def row_series(k: int, n_max: int) -> list[Fraction]:
     """[x^0..x^n_max] of p_k(x), the row sum with each j-cycle weighted by x^j.
 
-    Every k-free row from ``enumerate_rows`` contributes the product of
-    the weights of ``row_factor`` with 1/j replaced by x^j/j: e^{-x^j/j}
-    x^{jm}/(j^m m!) below the cap, 1 - e^{-x^j/j} sum_{i<floor(k/j)}
-    (x^j/j)^i/i! at it, and one factor e^{-x^k/k}. At x = 1 this is the
-    limiting survival. Cycles longer than k are free, so by the
+    Every k-free row that ``enumerate_rows`` writes contributes the
+    product of the weights of ``row_factor`` with 1/j replaced by x^j/j:
+    e^{-x^j/j} x^{jm}/(j^m m!) below the cap, 1 - e^{-x^j/j}
+    sum_{i<floor(k/j)} (x^j/j)^i/i! at it, and one factor e^{-x^k/k}. At
+    x = 1 this is the limiting survival. Cycles longer than k are free, so by the
     exponential formula sum_n alive(n, k) x^n/n! = p_k(x)/(1 - x): the
     coefficient of x^n is alive(n, k)/n! - alive(n-1, k)/(n-1)!.
     """
-    from ksetfix.table import enumerate_rows
-
     size = n_max + 1
 
     def power_series(j: int, sign: int, terms) -> list[Fraction]:
@@ -578,14 +590,12 @@ def row_series(k: int, n_max: int) -> list[Fraction]:
         factors[j, cap] = [(i == 0) - c for i, c in enumerate(tail)]
     total = [Fraction(0)] * size
 
-    def add_row(row) -> None:
+    for row in emitted_rows(k)[0]:
         series = exp_neg[k]
         for j, m in enumerate(row, start=1):
             series = series_mul(series, factors[j, m])
         for i, c in enumerate(series):
             total[i] += c
-
-    enumerate_rows(k, add_row)
     return total
 
 

@@ -25,7 +25,6 @@ from ksetfix.finite import (
 from ksetfix.limits import evaluate
 from ksetfix.montecarlo import sample_finite_fix, sample_limit_survival
 from ksetfix.partitions import is_k_free, universality_index
-from ksetfix.table import enumerate_rows
 
 from reference_data import (
     K4_ROW_VALUES_6DP,
@@ -35,6 +34,7 @@ from reference_data import (
     brute_partitions,
     brute_subpartition_sums,
     centralizer_size,
+    emitted_rows,
     exp_inv,
     load_golden_finite,
     poly_add,
@@ -106,8 +106,7 @@ def test_criterion_04_k4_closed_form(survival):
         failures.append(("12-place", table_value.value, closed_value.value))
     if survival.poly(4) != closed:
         failures.append(("symbolic equality",))
-    rows = []
-    enumerate_rows(4, rows.append)
+    rows, _ = emitted_rows(4)
     per_row = [evaluate(row_contribution(4, r), 6).value for r in rows]
     if per_row != K4_ROW_VALUES_6DP:
         failures.append(("per-row 6-place", per_row))

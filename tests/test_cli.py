@@ -43,7 +43,7 @@ def test_limit_emit_rows(runner, tmp_path):
     )
 
 
-@pytest.mark.parametrize("k", [1, 7, 12, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 16])
 def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
     # --emit-rows walks the rows apart from the counting programme; the
     # counters and the rows are those of the prefix walk

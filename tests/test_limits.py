@@ -25,6 +25,7 @@ from reference_data import (
     capped_tail_weight,
     coefficient_sum,
     descend_walk,
+    emitted_rows,
     exp_inv,
     fraction_evaluate_scaled,
     poly_add,
@@ -84,8 +85,7 @@ def test_row_contribution_rejects_wrong_length():
 
 
 def test_k4_all_row_values_six_places():
-    rows = []
-    enumerate_rows(4, rows.append)
+    rows, _ = emitted_rows(4)
     got = [evaluate(row_contribution(4, r), 6).value for r in rows]
     assert got == K4_ROW_VALUES_6DP
 
@@ -106,8 +106,7 @@ def test_k4_survival_equals_closed_form():
 def test_grouped_accumulation_matches_row_by_row(k, survival):
     # the DP accumulates the rows grouped by achievable-sum mask; the sum
     # of row_contribution over the walked rows is the oracle
-    rows = []
-    enumerate_rows(k, rows.append)
+    rows, _ = emitted_rows(k)
     direct = ExpPoly()
     for r in rows:
         direct = poly_add(direct, row_contribution(k, r))
@@ -128,17 +127,18 @@ def test_dp_row_count_matches_walk(k, survival):
 
 
 def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival):
-    rows = []
-    poly, stats = limits.limiting_survival_checked(7, rows.append)
+    chunks = []
+    poly, stats = limits.limiting_survival_checked(7, chunks.append)
+    rows = "".join(chunks).splitlines()
     assert poly == survival.poly(7)
-    assert stats == enumerate_rows(7, lambda row: None)
+    assert stats == enumerate_rows(7, lambda text: None)
     assert len(rows) == stats.rows_emitted == survival.rows(7)
     assert limits.limiting_survival_checked(7) == (poly, stats)
     monkeypatch.setattr(
         limits, "limiting_survival_with_stats", lambda k: (poly, len(rows) + 1)
     )
     with pytest.raises(AssertionError, match="table counted"):
-        limits.limiting_survival_checked(7, lambda row: None)
+        limits.limiting_survival_checked(7, lambda text: None)
     with pytest.raises(AssertionError, match="table counted"):
         limits.limiting_survival_checked(7)
 
@@ -185,8 +185,7 @@ def test_survival_k2_value():
 def test_coefficient_sum_identity_per_row(k):
     # with every exponential replaced by 1, a row's weight reduces to a
     # rational product over its positions
-    rows = []
-    enumerate_rows(k, rows.append)
+    rows, _ = emitted_rows(k)
     for row in rows:
         expected = Fraction(1)
         for j, m in enumerate(row, start=1):

@@ -14,13 +14,12 @@ from ksetfix.table import (
     rows_count,
 )
 
-from reference_data import LIMIT_TABLE_8DP, descend_walk, subpartition_sums
-
-
-def collect(k):
-    rows = []
-    stats = enumerate_rows(k, rows.append)
-    return rows, stats
+from reference_data import (
+    LIMIT_TABLE_8DP,
+    descend_walk,
+    emitted_rows,
+    subpartition_sums,
+)
 
 
 def reference_enumerate(k):
@@ -68,7 +67,7 @@ def reference_enumerate(k):
 
 
 def test_k4_exact_sequence():
-    rows, stats = collect(4)
+    rows, stats = emitted_rows(4)
     assert rows == [
         (3, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 0),
         (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0),
@@ -77,7 +76,7 @@ def test_k4_exact_sequence():
 
 
 def test_k1_single_empty_row():
-    rows, stats = collect(1)
+    rows, stats = emitted_rows(1)
     assert rows == [()]
     assert stats.rows_emitted == 1
     assert rows_count(1) == 1
@@ -85,7 +84,7 @@ def test_k1_single_empty_row():
 
 def test_first_and_last_rows():
     for k in range(2, 9):
-        rows, _ = collect(k)
+        rows, _ = emitted_rows(k)
         assert rows[0] == (k - 1,) + (0,) * (k - 2)
         assert rows[-1] == (0,) * (k - 1)
 
@@ -100,20 +99,20 @@ def test_completeness_against_box_scan(k):
     # every k-free tuple in the admissible box, found by exhausting it
     box = [range(position_bound(k, j) + 1) for j in range(1, k)]
     expected = {ms for ms in product(*box) if is_k_free(k, ms)}
-    rows, _ = collect(k)
+    rows, _ = emitted_rows(k)
     assert set(rows) == expected
     assert len(rows) == len(expected)
 
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_rows_strictly_decreasing_lex(k):
-    rows, _ = collect(k)
+    rows, _ = emitted_rows(k)
     assert all(a > b for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("k", range(2, 15))
 def test_matches_reference_walk_and_counter_split(k):
-    rows, stats = collect(k)
+    rows, stats = emitted_rows(k)
     ref_rows, ref_stats = reference_enumerate(k)
     assert rows == ref_rows
     assert stats == ref_stats
@@ -124,13 +123,13 @@ def test_counter_identity():
     for k in range(1, 12):
         walked_rows = []
         walked = descend_walk(k, walked_rows.append)
-        emitted_rows, emitted = collect(k)
+        table_rows, emitted = emitted_rows(k)
         counted = enumerate_rows(k)
         for s in (walked, emitted, counted):
             assert s.partials_considered == (
                 s.pruned_universal + s.pruned_divisibility + s.full_tests
             )
-        assert len(walked_rows) == len(emitted_rows) == rows_count(k)
+        assert len(walked_rows) == len(table_rows) == rows_count(k)
 
 
 @pytest.mark.parametrize(
@@ -143,8 +142,8 @@ def test_count_path_matches_walk(k):
     # runs the descend step on every prefix
     walked_rows = []
     walked = descend_walk(k, walked_rows.append)
-    emitted_rows, emitted = collect(k)
-    assert emitted_rows == walked_rows
+    table_rows, emitted = emitted_rows(k)
+    assert table_rows == walked_rows
     assert enumerate_rows(k) == emitted == walked
 
 
@@ -153,6 +152,14 @@ def test_count_path_k30_counters():
     # while its reference row count is in question
     assert enumerate_rows(30) == TableStats(12022223, 19500808, 404452, 2925, 19093431)
     assert LIMIT_TABLE_8DP[30][1] == 12022223
+
+
+def test_rows_are_written_a_block_per_prefix():
+    # one write per prefix of the positions j <= k/2 (3,148 at k = 20),
+    # not one per row
+    calls = []
+    stats = enumerate_rows(20, calls.append)
+    assert len(calls) * 10 < stats.rows_emitted
 
 
 @pytest.mark.parametrize("k", [1, 5, 12])
@@ -177,15 +184,15 @@ def test_descend_rejects_a_prefix_that_is_not_k_free():
 
 
 def test_deterministic_repeat_runs():
-    a_rows, a_stats = collect(9)
-    b_rows, b_stats = collect(9)
+    a_rows, a_stats = emitted_rows(9)
+    b_rows, b_stats = emitted_rows(9)
     assert a_rows == b_rows
     assert a_stats == b_stats
 
 
 def test_every_emitted_row_is_k_free():
     for k in range(2, 10):
-        rows, _ = collect(k)
+        rows, _ = emitted_rows(k)
         for ms in rows:
             assert is_k_free(k, ms)
             for j, m in enumerate(ms, start=1):
