@@ -16,9 +16,11 @@ The package computes, in exact arithmetic throughout:
 
 The first two grow and trim their masks by one step,
 ``partitions.part_ladder``. The package ships the engines only. The slow
-paths that the tests use as references (row-by-row weights, products of
-exponential polynomials, per-term ``Fraction`` exponents, centralizer
-orders) live with the tests, in ``tests/reference_data.py``.
+paths and helpers that only the tests use (row-by-row weights, products
+of exponential polynomials, per-term ``Fraction`` exponents, centralizer
+orders, the divisibility test behind the row table's pruning tallies,
+decimal strings of exact fractions, the samplers' sigma test) live with
+the tests, in ``tests/reference_data.py``.
 
 ``import ksetfix`` loads no engine: each public name below is resolved
 on first use (PEP 562), importing only the module that defines it.
@@ -34,20 +36,16 @@ _EXPORTS = {
     "finite_fix_probability": "finite",
     "finite_table": "finite",
     "fixing_count_table": "finite",
-    "fixing_counts": "finite",
     "HighPrecisionDecimal": "limits",
     "decay_exponent": "limits",
     "efg_ratio": "limits",
     "evaluate": "limits",
     "limiting_fix_probability": "limits",
     "limiting_survival": "limits",
-    "limiting_survival_with_stats": "limits",
     "McEstimate": "montecarlo",
     "sample_finite_fix": "montecarlo",
     "sample_limit_survival": "montecarlo",
-    "divisibility_free": "partitions",
     "is_k_free": "partitions",
-    "universality_index": "partitions",
     "TableStats": "table",
     "enumerate_rows": "table",
     "rows_count": "table",

@@ -138,12 +138,6 @@ def exceptions(n_max: int) -> set[tuple[int, int]]:
     }
 
 
-def format_probability(value: Fraction, digits: int) -> str:
-    """value as a decimal string with ``digits`` places, ties to even."""
-    scaled = round_div(value.numerator * 10**digits, value.denominator)
-    return format_scaled(scaled, digits)
-
-
 def finite_table(
     n_max: int,
     k_max: int,

@@ -16,9 +16,10 @@ k-freeness is a bounded knapsack: one integer whose bit s says that
 some of the parts drawn so far sum to s <= k, and every drawn part of
 size j <= k shifts it left by j and ors it in (at most k // j copies of
 each size, as more cannot add a size <= k). The sample is k-free iff
-bit k stays clear. This decides exactly what
-:func:`ksetfix.partitions.is_k_free` decides on the drawn vector, from
-the same stream, so the estimates do not depend on which route runs.
+bit k stays clear. It is the knapsack of
+:func:`ksetfix.partitions.is_k_free`, run as the parts are drawn, so the
+tests' reference samplers, which build each drawn vector and call
+``is_k_free`` on it, give the same estimates from the same stream.
 The step is inline rather than a call of
 :func:`ksetfix.partitions.part_ladder`, which gives its rule.
 
@@ -69,10 +70,6 @@ class McEstimate(NamedTuple):
     std_error: float
     samples: int
     seed: int
-
-    def within(self, target: float, sigmas: float) -> bool:
-        slack = sigmas * self.std_error
-        return target - slack <= self.estimate <= target + slack
 
 
 def _poisson_cdf(mean: float) -> list[float]:

@@ -7,12 +7,11 @@ and carry no meaning. A *subpartition* is a sub-multiset of the parts;
 its size is the sum of the chosen parts. A partition is *k-free* when no
 subpartition has size exactly k.
 
-The k-free decision is layered: a cheap prefix-sum criterion certifies
-that every size up to some threshold is achievable, a divisibility
-criterion certifies k-freeness outright for some inputs, and a bounded
-knapsack over a bit vector settles the rest. No command calls these
-tests at run time: the engines carry achievable-sum masks of their own,
-and ``is_k_free`` is the public API and their test oracle.
+The k-free decision is one bounded knapsack over a bit vector of
+achievable sizes, :func:`is_k_free`. No command calls it at run time:
+the engines carry achievable-sum masks of their own, and ``is_k_free``
+is the public API and their test oracle, as :func:`universality_index`
+is the oracle of the first stage of the row table's pruning tallies.
 :func:`part_ladder` and :func:`free_large_parts` are run-time code: the
 limiting programme and the row table grow and trim their masks by them.
 """
@@ -42,19 +41,6 @@ def universality_index(ms: Multiplicities) -> int:
     return total
 
 
-def divisibility_free(k: int, ms: Multiplicities) -> bool:
-    """Sufficient (not necessary) test that ms is k-free.
-
-    True iff some d in {2..k//2} does not divide k while every part size
-    present is a multiple of d: all subpartition sizes are then multiples
-    of d, so none can equal k. A False result decides nothing.
-    """
-    for d in range(2, k // 2 + 1):
-        if k % d and all(j % d == 0 or m == 0 for j, m in enumerate(ms, start=1)):
-            return True
-    return False
-
-
 def achievable_sizes_mask(ms: Multiplicities, cap: int) -> int:
     """Bit vector of achievable subpartition sizes, truncated to {0..cap}.
 
@@ -78,19 +64,9 @@ def achievable_sizes_mask(ms: Multiplicities, cap: int) -> int:
 
 
 def is_k_free(k: int, ms: Multiplicities) -> bool:
-    """True iff no subpartition of ms has size exactly k.
-
-    Layered test, equivalent to the knapsack alone: a partition that is
-    universal past k certainly has a size-k subpartition; one passing the
-    divisibility criterion certainly has none; otherwise ask the bit
-    vector.
-    """
+    """True iff no subpartition of ms has size exactly k: bit k of the knapsack."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if universality_index(ms) >= k:
-        return False
-    if divisibility_free(k, ms):
-        return True
     return not achievable_sizes_mask(ms, k) >> k & 1
 
 

@@ -11,12 +11,13 @@ the usable divisors dividing all its parts, and its running size. It
 tries the largest admissible multiplicity first and goes down until one
 keeps the prefix k-free (0 always does, since prefixes of k-free rows
 are k-free); that one and every smaller one are the prefix's children,
-k-free without a retest. Each try is classified by the three-stage test
-of :mod:`ksetfix.partitions`, and the step returns how many tries ended
-in each stage: rejected as reaching size k with everything below
-achievable (universality), accepted by the divisibility criterion, or
-settled by :func:`~ksetfix.partitions.part_ladder`'s achievable sums.
-The stage outcomes agree with the plain module-level functions.
+k-free without a retest. Each try is classified by a three-stage test,
+and the step returns how many tries ended in each stage: rejected as
+reaching size k with everything below achievable (universality),
+accepted by the divisibility criterion, or settled by
+:func:`~ksetfix.partitions.part_ladder`'s achievable sums. The tests
+hold the outcomes to an oracle that runs the three stages on each whole
+extended prefix, its divisibility stage from ``tests/reference_data.py``.
 
 :func:`enumerate_rows` runs the step once per key: a dynamic programme
 merges the prefixes that share a key and weights each key's tallies

@@ -7,14 +7,16 @@ recurrences, vectorized orbit tests, and the finite engine's two former
 routes: one knapsack per partition, and one all-k programme over
 untrimmed achievable-sum masks).
 
-The slow paths the package no longer ships live here too: the row
-table's walk over every row prefix, the limiting engine's row-by-row
-weights and their power series in the cycle lengths, the
-exponential-polynomial algebra they need (on ``Fraction``
-coefficients, converted to and from the package's integer numerators
-over one denominator), centralizer orders, evaluation with every
-exponent as a ``Fraction``, and the Monte Carlo samplers that build
-each drawn vector and call ``is_k_free``.
+The slow paths and helpers the package no longer ships live here too:
+the row table's walk over every row prefix, the divisibility stage of
+its pruning oracle, the limiting engine's row-by-row weights and their
+power series in the cycle lengths, the exponential-polynomial algebra
+they need (on ``Fraction`` coefficients, converted to and from the
+package's integer numerators over one denominator), centralizer orders,
+evaluation with every exponent as a ``Fraction``, decimal strings of
+exact fractions, the Monte Carlo samplers that build each drawn vector
+and call ``is_k_free``, and the test that an estimate lies within some
+standard errors of a target.
 Functions that need ksetfix import it when called, because the
 benchmark's tests load this module's constants without the package on
 the path.
@@ -125,6 +127,19 @@ def subpartition_sums(ms, cap: int) -> set[int]:
         raise ValueError("cap must be >= 1")
     bits = achievable_sizes_mask(ms, cap)
     return {s for s in range(cap + 1) if bits >> s & 1}
+
+
+def divisibility_free(k: int, ms) -> bool:
+    """Sufficient (not necessary) test that ms is k-free.
+
+    True iff some d in {2..k//2} does not divide k while every part size
+    present is a multiple of d: all subpartition sizes are then multiples
+    of d, so none can equal k. A False result decides nothing.
+    """
+    for d in range(2, k // 2 + 1):
+        if k % d and all(j % d == 0 or m == 0 for j, m in enumerate(ms, start=1)):
+            return True
+    return False
 
 
 def centralizer_size(ms) -> int:
@@ -340,6 +355,14 @@ def brute_fix_fractions(n: int) -> dict[int, Fraction]:
                 img |= bit_images[:, i]
         hits[mask.bit_count()] |= img == mask
     return {k: Fraction(int(hits[k].sum()), nf) for k in range(1, n + 1)}
+
+
+def format_probability(value: Fraction, digits: int) -> str:
+    """value as a decimal string with ``digits`` places, ties to even."""
+    from ksetfix.precision import format_scaled, round_div
+
+    scaled = round_div(value.numerator * 10**digits, value.denominator)
+    return format_scaled(scaled, digits)
 
 
 # --- the row table's depth-first walk ---
@@ -602,12 +625,18 @@ def row_series(k: int, n_max: int) -> list[Fraction]:
 # --- Monte Carlo samplers that test each drawn vector with is_k_free ---
 
 
+def within(est, target: float, sigmas: float) -> bool:
+    """True iff the McEstimate ``est`` is within ``sigmas`` standard errors of target."""
+    slack = sigmas * est.std_error
+    return target - slack <= est.estimate <= target + slack
+
+
 def reference_sample_limit_survival(k: int, samples: int, seed: int):
     """The limiting sampler with one is_k_free call per drawn count vector.
 
     Same stream as ``montecarlo.sample_limit_survival`` (one uniform per
     position j = 1..k, inverted through the Poisson(1/j) CDF), but it
-    builds each multiplicity tuple and asks the layered test.
+    builds each multiplicity tuple and asks ``is_k_free``.
     """
     import random
     from bisect import bisect_right
@@ -648,7 +677,7 @@ def reference_finite_cycle_types(n: int, samples: int, seed: int) -> Iterator[li
 def reference_sample_finite_fix(n: int, k: int, samples: int, seed: int):
     """The finite sampler with one is_k_free call per drawn cycle type.
 
-    It asks the layered test on the cycles up to length k of each type
+    It asks ``is_k_free`` on the cycles up to length k of each type
     that ``reference_finite_cycle_types`` draws.
     """
     from ksetfix.montecarlo import McEstimate, _binomial_stderr

@@ -16,12 +16,7 @@ from click.testing import CliRunner
 from ksetfix import finite
 from ksetfix.cli import main as cli_main
 from ksetfix.exppoly import ExpPoly
-from ksetfix.finite import (
-    exceptions,
-    finite_table,
-    fixing_counts,
-    format_probability,
-)
+from ksetfix.finite import exceptions, finite_table, fixing_counts
 from ksetfix.limits import evaluate
 from ksetfix.montecarlo import sample_finite_fix, sample_limit_survival
 from ksetfix.partitions import is_k_free, universality_index
@@ -43,6 +38,7 @@ from reference_data import (
     poly_scaled,
     poly_sub,
     row_contribution,
+    within,
 )
 
 
@@ -241,12 +237,12 @@ def test_criterion_09_monte_carlo_cross_checks():
     for k, fix_8dp in ((1, "0.63212056"), (4, "0.46955773"), (10, "0.37687192")):
         target = 1 - float(fix_8dp)
         est = sample_limit_survival(k, million, seed=20240 + k)
-        if not est.within(target, sigmas=4):
+        if not within(est, target, sigmas=4):
             failures.append(("limit", k, est.estimate, target))
     exact = fixing_counts(20, 10)
     target = float(Fraction(exact[10], exact[0]))
     est = sample_finite_fix(20, 10, million, seed=2024)
-    if not est.within(target, sigmas=4):
+    if not within(est, target, sigmas=4):
         failures.append(("finite", 20, 10, est.estimate, target))
     report("criterion 09: million-sample Monte Carlo within 4 sigma", failures)
 

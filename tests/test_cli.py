@@ -586,12 +586,20 @@ def test_package_names_resolve_lazily():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["ksetfix", "ksetfix ksetfix.partitions"]
 
+    import re
+    from pathlib import Path
+
     import ksetfix
 
     for name in ksetfix.__all__:
         assert getattr(ksetfix, name).__module__.startswith("ksetfix."), name
     with pytest.raises(AttributeError):
         ksetfix.no_such_name
+    # the README's Library section names every export, and no other name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"exports these names and no others: (.*?)\.\n", readme, re.S)
+    assert listed, "README.md has no sentence listing the exports"
+    assert set(ksetfix.__all__) == set(re.findall(r"`(\w+)`", listed[1]))
 
 
 def test_csv_digits_consistent_with_higher_precision(runner):

@@ -20,7 +20,6 @@ from ksetfix.finite import (
     finite_table,
     fixing_count_table,
     fixing_counts,
-    format_probability,
     survival_counts,
 )
 from ksetfix.limits import evaluate, limiting_survival
@@ -29,6 +28,7 @@ from reference_data import (
     LIMIT_TABLE_8DP,
     brute_fix_fractions,
     brute_partitions,
+    format_probability,
     load_golden_finite,
     mask_fixing_count_table,
     partition_count_recurrence,
@@ -292,7 +292,7 @@ def cauchy_gap_bound(n: int, k: int) -> Fraction:
 
 # n -> (largest k, and the bound every k must get under, if any); under
 # it the finite engine recomputes the reference i(inf,k) to 8 places.
-# n = 400 covers the paper's whole range k <= 30 (about 100 s)
+# n = 400 covers the paper's whole range k <= 30 (about 70 s)
 CAUCHY_CASES = {
     50: (10, None),
     70: (10, None),

@@ -21,6 +21,7 @@ from reference_data import (
     reference_finite_cycle_types,
     reference_sample_finite_fix,
     reference_sample_limit_survival,
+    within,
 )
 
 ORACLE_SAMPLES = 3000
@@ -43,18 +44,18 @@ def test_finite_sampler_deterministic():
 def test_limit_sampler_near_e_inverse():
     # k=1: survival means no fixed points at all, probability e^{-1}
     est = sample_limit_survival(1, 100000, seed=2024)
-    assert est.within(0.36787944, sigmas=4)
+    assert within(est, 0.36787944, sigmas=4)
 
 
 def test_limit_sampler_k4():
     est = sample_limit_survival(4, 100000, seed=2024)
-    assert est.within(0.53044227, sigmas=4)
+    assert within(est, 0.53044227, sigmas=4)
 
 
 def test_finite_sampler_small_case_vs_exact():
     exact = float(finite_fix_probability(4, 2).fix_probability)
     est = sample_finite_fix(4, 2, 100000, seed=31)
-    assert est.within(exact, sigmas=4)
+    assert within(est, exact, sigmas=4)
     assert est.std_error == pytest.approx(
         sqrt(est.estimate * (1 - est.estimate) / est.samples)
     )
@@ -62,7 +63,7 @@ def test_finite_sampler_small_case_vs_exact():
 
 def test_finite_sampler_n2():
     est = sample_finite_fix(2, 1, 100000, seed=5)
-    assert est.within(0.5, sigmas=4)
+    assert within(est, 0.5, sigmas=4)
 
 
 def test_mean_cycle_counts_near_reciprocals():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from ksetfix.partitions import (
     achievable_sizes_mask,
-    divisibility_free,
     is_k_free,
     part_ladder,
     universality_index,
@@ -17,6 +16,7 @@ from ksetfix.partitions import (
 from reference_data import (
     brute_subpartition_sums,
     centralizer_size,
+    divisibility_free,
     subpartition_sums,
 )
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ksetfix.partitions import divisibility_free, is_k_free, universality_index
+from ksetfix.partitions import is_k_free, universality_index
 from ksetfix.table import (
     TableStats,
     _descend,
@@ -17,6 +17,7 @@ from ksetfix.table import (
 from reference_data import (
     LIMIT_TABLE_8DP,
     descend_walk,
+    divisibility_free,
     emitted_rows,
     subpartition_sums,
 )
