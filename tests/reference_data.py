@@ -9,14 +9,16 @@ untrimmed achievable-sum masks).
 
 The slow paths and helpers the package no longer ships live here too:
 the row table's walk over every row prefix, the divisibility stage of
-its pruning oracle, the limiting engine's row-by-row weights and their
-power series in the cycle lengths, the exponential-polynomial algebra
-they need (on ``Fraction`` coefficients, converted to and from the
-package's integer numerators over one denominator), centralizer orders,
-evaluation with every exponent as a ``Fraction``, decimal strings of
-exact fractions, the Monte Carlo samplers that build each drawn vector
-and call ``is_k_free``, and the test that an estimate lies within some
-standard errors of a target.
+its pruning oracle, and the paper's row weight, defined once with each
+j-cycle weighted by x^j. The row products, summed by exponent mask,
+are the one object both engines meet exactly: at x = 1 the limiting
+survival, and as a power series in x the finite survival counts. Also
+here: the exponential-polynomial algebra (on ``Fraction`` coefficients,
+converted to and from the package's integer numerators over one
+denominator), centralizer orders, evaluation with every exponent as a
+``Fraction``, decimal strings of exact fractions, the Monte Carlo
+samplers that build each drawn vector and call ``is_k_free``, and the
+test that an estimate lies within some standard errors of a target.
 Functions that need ksetfix import it when called, because the
 benchmark's tests load this module's constants without the package on
 the path.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, floor, lcm
 from pathlib import Path
@@ -416,7 +419,7 @@ def emitted_rows(k: int):
     return rows, stats
 
 
-# --- exponential-polynomial algebra and the row-by-row limiting sum ---
+# --- exponential-polynomial algebra, with coefficients in Q or in Q[x] ---
 
 
 def exponent_fraction(mask: int) -> Fraction:
@@ -502,22 +505,34 @@ def poly_sub(a, b):
     return poly_add(a, poly_scaled(b, -1))
 
 
-def poly_mul(a, b):
-    """a * b; the operands' exponent sets must be disjoint term by term.
+def add_product(out, a, b):
+    """out += a * b for weights, returning out.
 
-    Multiplying exponentials unions their exponent sets, which is exact
-    only when no 1/j would appear twice in one exponent.
+    A weight is an exponential polynomial with coefficients polynomial in
+    x, {exponent mask: {power of x: coefficient}}, bit j - 1 standing for
+    e^{-x^j/j}. Multiplying exponentials unions their exponent sets, which
+    is exact only when those of the operands' terms are disjoint.
     """
-    out: dict[int, Fraction] = {}
-    for ma, ca in poly_fractions(a).items():
-        for mb, cb in poly_fractions(b).items():
+    for ma, pa in a.items():
+        for mb, pb in b.items():
             if ma & mb:
-                raise ValueError(
-                    "product would repeat an exponent 1/j; operand "
-                    "exponent sets must be disjoint"
-                )
-            out[ma | mb] = out.get(ma | mb, 0) + ca * cb
-    return poly_from_fractions(out)
+                raise ValueError("operand exponent sets must be disjoint")
+            poly = out.setdefault(ma | mb, {})
+            for ea, ca in pa.items():
+                for eb, cb in pb.items():
+                    poly[ea + eb] = poly.get(ea + eb, 0) + ca * cb
+    return out
+
+
+def at_x_one(weight):
+    """The ExpPoly a weight takes at x = 1, where e^{-x^j/j} becomes e^{-1/j}."""
+    return poly_from_fractions({mask: sum(p.values()) for mask, p in weight.items()})
+
+
+def poly_mul(a, b):
+    """a * b, by ``add_product``; the operands' exponent sets must be disjoint."""
+    a, b = ({mask: {0: c} for mask, c in poly_fractions(p).items()} for p in (a, b))
+    return at_x_one(add_product({}, a, b))
 
 
 def coefficient_sum(poly) -> Fraction:
@@ -525,100 +540,86 @@ def coefficient_sum(poly) -> Fraction:
     return sum(poly_fractions(poly).values(), Fraction(0))
 
 
-def capped_tail_weight(k: int, j: int) -> Fraction:
-    """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
-    return sum(
-        (Fraction(1, j**i * factorial(i)) for i in range(k // j)), Fraction(0)
-    )
+# --- one row weight, and the row sum both engines are held to ---
+
+
+def row_weight(k: int, j: int, m: int) -> dict[int, dict[int, Fraction]]:
+    """The weight of multiplicity m at position j of a k-free row.
+
+    With x^j per j-cycle, it is e^{-x^j/j} x^{jm}/(j^m m!) below the cap
+    floor(k/j), and at the cap 1 - e^{-x^j/j} sum_{i<floor(k/j)}
+    (x^j/j)^i/i!, which charges the row with every tail multiplicity at
+    once. Position k carries e^{-x^k/k}. At x = 1: the paper's weights.
+    """
+    if not (1 <= j <= k and 0 <= m <= k // j):
+        raise ValueError("need 1 <= j <= k and 0 <= m <= floor(k/j)")
+    cap = k // j
+    if m < cap:
+        return {1 << (j - 1): {j * m: Fraction(1, j**m * factorial(m))}}
+    tail = {j * i: Fraction(-1, j**i * factorial(i)) for i in range(cap)}
+    return {0: {0: Fraction(1)}, 1 << (j - 1): tail}
+
+
+def weight_sum(k: int, rows):
+    """The product of each row's weights, position k's included, summed by mask."""
+    total: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        if len(row) != k - 1:
+            raise ValueError("row must have length k-1")
+        product = {0: {0: 1}}
+        for j, m in enumerate(row, start=1):
+            product = add_product({}, product, row_weight(k, j, m))
+        add_product(total, product, row_weight(k, k, 0))
+    return total
+
+
+@lru_cache(maxsize=None)
+def row_sum(k: int):
+    """``weight_sum`` of the rows ``enumerate_rows`` writes; cached, so read only."""
+    return weight_sum(k, emitted_rows(k)[0])
 
 
 def row_factor(k: int, j: int, m: int):
-    """The weight x_j of multiplicity m at position j of a k-free row.
-
-    x_j = e^{-1/j} / (j^m m!) below the cap floor(k/j), and at the cap
-    1 - e^{-1/j} * capped_tail_weight(k, j), which charges the row with
-    every tail multiplicity at once.
-    """
-    if not 1 <= j <= k:
-        raise ValueError("need 1 <= j <= k")
-    cap = k // j
-    if not 0 <= m <= cap:
-        raise ValueError("multiplicity out of range for this position")
-    if m < cap:
-        return exp_inv(j, Fraction(1, j**m * factorial(m)))
-    return poly_sub(poly_one(), exp_inv(j, capped_tail_weight(k, j)))
+    """``row_weight`` at x = 1: the paper's weight x_j of multiplicity m at j."""
+    return at_x_one(row_weight(k, j, m))
 
 
 def row_contribution(k: int, row):
-    """Product of all position weights of a row, including the k-cycle factor.
-
-    The row has length k-1; position k always carries multiplicity 0 and
-    contributes the single factor e^{-1/k}. Summed over the k-free rows,
-    this is the limiting survival polynomial.
-    """
-    if len(row) != k - 1:
-        raise ValueError("row must have length k-1")
-    poly = exp_inv(k)
-    for j, m in enumerate(row, start=1):
-        poly = poly_mul(poly, row_factor(k, j, m))
-    return poly
+    """A row's weight at x = 1; summed over the k-free rows, the limiting survival."""
+    return at_x_one(weight_sum(k, [row]))
 
 
-# --- the row-by-row sum as a power series in the cycle lengths ---
-
-
-def series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """a * b for power series given by their coefficients, truncated to len(a)."""
-    n = len(a)
-    out = [Fraction(0)] * n
-    b_terms = [(t, bt) for t, bt in enumerate(b[:n]) if bt]
-    for i, ai in enumerate(a):
-        if ai:
-            for t, bt in b_terms:
-                if i + t >= n:
-                    break
-                out[i + t] += ai * bt
-    return out
+def capped_tail_weight(k: int, j: int) -> Fraction:
+    """sum_{0 <= i < floor(k/j)} 1/(j^i i!), the weight subtracted by a capped factor."""
+    return -sum(row_weight(k, j, k // j)[1 << (j - 1)].values())
 
 
 def row_series(k: int, n_max: int) -> list[Fraction]:
-    """[x^0..x^n_max] of p_k(x), the row sum with each j-cycle weighted by x^j.
+    """[x^0..x^n_max] of p_k(x), ``row_sum(k)`` expanded as a power series.
 
-    Every k-free row that ``enumerate_rows`` writes contributes the
-    product of the weights of ``row_factor`` with 1/j replaced by x^j/j:
-    e^{-x^j/j} x^{jm}/(j^m m!) below the cap, 1 - e^{-x^j/j}
-    sum_{i<floor(k/j)} (x^j/j)^i/i! at it, and one factor e^{-x^k/k}. At
-    x = 1 this is the limiting survival. Cycles longer than k are free, so by the
-    exponential formula sum_n alive(n, k) x^n/n! = p_k(x)/(1 - x): the
-    coefficient of x^n is alive(n, k)/n! - alive(n-1, k)/(n-1)!.
+    Cycles longer than k are free, so by the exponential formula
+    sum_n alive(n, k) x^n/n! = p_k(x)/(1 - x): the coefficient of x^n is
+    alive(n, k)/n! - alive(n-1, k)/(n-1)!.
     """
-    size = n_max + 1
 
-    def power_series(j: int, sign: int, terms) -> list[Fraction]:
-        # sum over i in terms of (sign x^j/j)^i/i!
-        out = [Fraction(0)] * size
-        for i in terms:
-            if j * i > n_max:
-                break
-            out[j * i] = Fraction(sign**i, j**i * factorial(i))
-        return out
+    @lru_cache(maxsize=None)
+    def exp_series(mask: int) -> list[Fraction]:
+        # prod_{j in mask} e^{-x^j/j}: the top bit's series times the rest's
+        if not mask:
+            return [Fraction(1)] + [Fraction(0)] * n_max
+        j = mask.bit_length()
+        rest = exp_series(mask ^ 1 << (j - 1))
+        step = [Fraction((-1) ** t, j**t * factorial(t)) for t in range(n_max // j + 1)]
+        return [
+            sum(c * rest[i - j * t] for t, c in enumerate(step[: i // j + 1]))
+            for i in range(n_max + 1)
+        ]
 
-    exp_neg = [None] + [power_series(j, -1, range(size)) for j in range(1, k + 1)]
-    factors = {}
-    for j in range(1, k):
-        cap = k // j
-        for m in range(cap):
-            factors[j, m] = series_mul(exp_neg[j], power_series(j, 1, [m]))
-        tail = series_mul(exp_neg[j], power_series(j, 1, range(cap)))
-        factors[j, cap] = [(i == 0) - c for i, c in enumerate(tail)]
-    total = [Fraction(0)] * size
-
-    for row in emitted_rows(k)[0]:
-        series = exp_neg[k]
-        for j, m in enumerate(row, start=1):
-            series = series_mul(series, factors[j, m])
-        for i, c in enumerate(series):
-            total[i] += c
+    total = [Fraction(0)] * (n_max + 1)
+    for mask, poly in row_sum(k).items():
+        for e, c in poly.items():
+            for i, term in enumerate(exp_series(mask)[: n_max + 1 - e]):
+                total[e + i] += c * term
     return total
 
 

@@ -3,8 +3,10 @@
 The count table has two oracles: the partition stream tested first,
 with one knapsack per partition, and the former all-k programme over
 untrimmed achievable-sum masks, ``mask_fixing_count_table``. The
-survival counts also meet the limiting engine's row-by-row sum exactly,
-through its power series in the cycle lengths, ``row_series``.
+survival counts also meet the paper's row sum exactly: ``row_series``
+expands ``row_sum(k)``, the rows' weights with x^j per j-cycle summed by
+exponent mask, as a power series in x. test_limits holds the limiting
+engine to the same ``row_sum(k)`` at x = 1.
 """
 
 from decimal import Decimal, localcontext
@@ -106,12 +108,15 @@ def test_count_table_matches_mask_oracle(n_max, cap):
 
 @pytest.mark.parametrize(
     "k,n_max",
+    # the engine scales its weights by n_max!, so each n_max is its own run
     [(k, 20) for k in range(1, 8)]
-    + [pytest.param(k, 30, marks=pytest.mark.longrun) for k in range(8, 13)],
+    + [(k, 30) for k in range(1, 13)]
+    + [pytest.param(k, 30, marks=pytest.mark.longrun) for k in range(13, 17)],
 )
 def test_survival_counts_match_row_series(k, n_max):
     # the paper's row sum with x^j per j-cycle against the finite engine,
-    # coefficient by coefficient: [x^n] p_k = alive(n)/n! - alive(n-1)/(n-1)!
+    # coefficient by coefficient: [x^n] p_k = alive(n)/n! - alive(n-1)/(n-1)!;
+    # test_limits takes the same row_sum(k) at x = 1 against the limiting DP
     alive = survival_counts(n_max, k)
     want = [Fraction(1)] + [
         Fraction(alive[n], factorial(n)) - Fraction(alive[n - 1], factorial(n - 1))

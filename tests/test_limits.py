@@ -22,6 +22,7 @@ from reference_data import (
     LIMIT_TABLE_8DP,
     RATIO_K2_10DP,
     RATIO_K4_10DP,
+    at_x_one,
     capped_tail_weight,
     coefficient_sum,
     descend_walk,
@@ -35,6 +36,8 @@ from reference_data import (
     poly_sub,
     row_contribution,
     row_factor,
+    row_sum,
+    row_weight,
 )
 
 E1, E2, E3, E4 = 1, 2, 4, 8  # bitmasks of e^{-1/1} .. e^{-1/4}
@@ -50,6 +53,12 @@ def test_row_factor_capped_binomials():
     assert row_factor(4, 3, 1) == ExpPoly({0: 1, E3: -1})  # 1 - e^{-1/3}
     assert row_factor(4, 2, 2) == ExpPoly({0: 2, E2: -3}, 2)
     assert capped_tail_weight(4, 2) == Fraction(3, 2)
+
+
+def test_row_weight_by_hand():
+    # 1 - e^{-x^2/2} (1 + x^2/2) at the cap; e^{-x} x^3/3! below it
+    assert row_weight(4, 2, 2) == {0: {0: 1}, E2: {0: -1, 2: Fraction(-1, 2)}}
+    assert row_weight(4, 1, 3) == {E1: {3: Fraction(1, 6)}}
 
 
 def test_row_factor_range_checks():
@@ -102,15 +111,16 @@ def test_k4_survival_equals_closed_form():
     assert evaluate(closed, 6).value == "0.530442"
 
 
-@pytest.mark.parametrize("k", range(1, 15))
+@pytest.mark.parametrize("k", [
+    *range(1, 15),
+    *(pytest.param(k, marks=pytest.mark.longrun) for k in (15, 16)),
+])
 def test_grouped_accumulation_matches_row_by_row(k, survival):
-    # the DP accumulates the rows grouped by achievable-sum mask; the sum
-    # of row_contribution over the walked rows is the oracle
-    rows, _ = emitted_rows(k)
-    direct = ExpPoly()
-    for r in rows:
-        direct = poly_add(direct, row_contribution(k, r))
-    assert survival.poly(k) == direct
+    # the DP accumulates the rows grouped by achievable-sum mask; the
+    # oracle is the product of row weights over the written rows, summed
+    # by exponent mask and taken at x = 1 (test_finite expands the same
+    # row_sum(k) against the finite engine)
+    assert survival.poly(k) == at_x_one(row_sum(k))
 
 
 @pytest.mark.parametrize("k", range(1, 31))
