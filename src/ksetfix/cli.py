@@ -14,9 +14,10 @@ CLI needs no third-party package.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
 
 ``main`` is an object with a ``name`` and a ``main(args, prog_name)``
-method because that is the interface click's ``CliRunner`` calls: the
-tests and ``bench/tracer.py`` run commands in process through it. It can
-become a plain function once the tracer reads a run report instead.
+method because that is the interface click's ``CliRunner`` calls, and
+``bench/tracer.py`` alone runs commands through ``CliRunner``; the tests
+call ``main.main`` directly. It can become a plain function once the
+tracer no longer needs that interface.
 """
 
 from __future__ import annotations
@@ -260,7 +261,11 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 
 class _Main:
-    """The CLI, in the shape click's ``CliRunner.invoke`` drives."""
+    """The CLI, in the shape click's ``CliRunner.invoke`` drives.
+
+    Only ``bench/tracer.py`` drives it that way; everything else calls
+    :meth:`main`.
+    """
 
     name = "ksetfix"
 

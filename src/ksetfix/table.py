@@ -46,9 +46,9 @@ class TableStats(NamedTuple):
     """Row and pruning counters for one enumeration run.
 
     :func:`enumerate_rows` builds partials_considered as the sum
-    pruned_universal + pruned_divisibility + full_tests; the split
-    depends on the descent order and is diagnostic rather than
-    contractual.
+    pruned_universal + pruned_divisibility + full_tests. The split
+    depends on the descent order; ``limit`` prints it, and the tests
+    and the benchmark's expected ``limit`` output pin it.
     """
 
     rows_emitted: int = 0

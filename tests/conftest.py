@@ -4,7 +4,7 @@ import pytest
 
 from ksetfix.limits import limiting_survival_with_stats
 
-from reference_data import brute_partitions
+from reference_data import partitions_of
 
 
 class SurvivalCache:
@@ -33,4 +33,4 @@ def survival():
 @pytest.fixture(scope="session")
 def partition_corpus():
     """All partitions of every n <= 20, keyed by n, as multiplicity tuples."""
-    return {n: brute_partitions(n) for n in range(1, 21)}
+    return {n: list(partitions_of(n)) for n in range(1, 21)}

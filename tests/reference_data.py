@@ -8,7 +8,8 @@ routes: one knapsack per partition, and one all-k programme over
 untrimmed achievable-sum masks).
 
 The slow paths and helpers the package no longer ships live here too:
-the row table's walk over every row prefix, the divisibility stage of
+one walk over every prefix of the row table, which each row-table
+oracle steps with its own classification, the divisibility stage of
 its pruning oracle, and the paper's row weight, defined once with each
 j-cycle weighted by x^j. The row products, summed by exponent mask,
 are the one object both engines meet exactly: at x = 1 the limiting
@@ -17,8 +18,9 @@ here: the exponential-polynomial algebra (on ``Fraction`` coefficients,
 converted to and from the package's integer numerators over one
 denominator), centralizer orders, evaluation with every exponent as a
 ``Fraction``, decimal strings of exact fractions, the Monte Carlo
-samplers that build each drawn vector and call ``is_k_free``, and the
-test that an estimate lies within some standard errors of a target.
+samplers that build each drawn vector and call ``is_k_free``, the
+test that an estimate lies within some standard errors of a target,
+and ``run_cli``, the one way the tests run a command in process.
 Functions that need ksetfix import it when called, because the
 benchmark's tests load this module's constants without the package on
 the path.
@@ -159,26 +161,6 @@ def centralizer_size(ms) -> int:
     return z
 
 
-def brute_partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n as multiplicity tuples, by simple recursion."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    out = []
-    for parts in rec(n, n):
-        ms = [0] * (parts[0] if parts else 0)
-        for p in parts:
-            ms[p - 1] += 1
-        out.append(tuple(ms))
-    return out
-
-
 def descending_part_lists(n: int) -> Iterator[list[int]]:
     """All partitions of n as weakly decreasing part lists, largest first.
 
@@ -299,12 +281,7 @@ def mask_fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
                 live[s] = {}
 
     # big[r]: permutations of r points whose cycles are all longer than cap
-    big = [1] + [0] * n_max
-    for r in range(cap + 1, n_max + 1):
-        big[r] = sum(
-            fact[r - 1] // fact[r - length] * big[r - length]
-            for length in range(cap + 1, r + 1)
-        )
+    big = restricted_permutation_counts(n_max, range(cap + 1, n_max + 1))
     counts = []
     for n in range(n_max + 1):
         row = [0] * (min(cap, n) + 1)
@@ -315,6 +292,19 @@ def mask_fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
                     row[k] += (weight[s] - missing[s][k]) * scale // div
         counts.append(row)
     return counts
+
+
+def restricted_permutation_counts(n: int, lengths) -> list[int]:
+    """c[r] for r = 0..n: permutations of r points with every cycle length in lengths.
+
+    The cycle through one fixed point has some length j and is one of
+    (r-1)!/(r-j)! such cycles; the other r - j points are permuted alike.
+    """
+    fact = [factorial(i) for i in range(n + 1)]
+    c = [1]
+    for r in range(1, n + 1):
+        c.append(sum(fact[r - 1] // fact[r - j] * c[r - j] for j in lengths if j <= r))
+    return c
 
 
 def partition_count_recurrence(n_max: int) -> list[int]:
@@ -368,31 +358,32 @@ def format_probability(value: Fraction, digits: int) -> str:
     return format_scaled(scaled, digits)
 
 
-# --- the row table's depth-first walk ---
+# --- the row table's depth-first walk, and the CLI run in process ---
 
 
-def descend_walk(k: int, consumer):
-    """The row table walked prefix by prefix; returns its own TableStats.
+def prefix_walk(k: int, step, start, consumer):
+    """The row table walked prefix by prefix; returns the walk's TableStats.
 
-    Runs ``table._descend`` once on every k-free row prefix, sums the
-    tallies it returns, recurses into its children, and hands each
-    complete row to ``consumer`` in decreasing lexicographic order.
-    ``enumerate_rows`` runs the same step once per merged prefix key
-    instead.
+    ``step(j, state)`` classifies position j after a k-free prefix in
+    ``state`` and returns its children, the accepted (m, child state)
+    pairs from the largest m down, and how many tries universality
+    rejected, divisibility accepted and a full test settled. The walk
+    sums those tallies over every prefix, recurses into the children and
+    hands each complete row to ``consumer``, in decreasing lexicographic
+    order.
     """
-    from ksetfix.table import TableStats, _descend, _divisor_masks
+    from ksetfix.table import TableStats
 
-    usable_d, div_of = _divisor_masks(k)
     row: list[int] = []
     rows = universal = divisible = full = 0
 
-    def walk(j: int, key) -> None:
+    def walk(j: int, state) -> None:
         nonlocal rows, universal, divisible, full
         if j == k:
             consumer(tuple(row))
             rows += 1
             return
-        children, u, d, f = _descend(k, j, key, div_of)
+        children, u, d, f = step(j, state)
         universal += u
         divisible += d
         full += f
@@ -401,8 +392,43 @@ def descend_walk(k: int, consumer):
             walk(j + 1, child)
             row.pop()
 
-    walk(1, (1, usable_d, 0))
+    walk(1, start)
     return TableStats(rows, universal + divisible + full, universal, divisible, full)
+
+
+def descend_walk(k: int, consumer):
+    """``prefix_walk`` stepping with ``table._descend`` on every prefix's key.
+
+    ``enumerate_rows`` runs the same step once per merged prefix key
+    instead.
+    """
+    from ksetfix.table import _descend, _divisor_masks
+
+    usable_d, div_of = _divisor_masks(k)
+    return prefix_walk(
+        k, lambda j, key: _descend(k, j, key, div_of), (1, usable_d, 0), consumer
+    )
+
+
+def run_cli(*args: str) -> tuple[int, str]:
+    """Run one ksetfix command in this process; return its exit code and stdout.
+
+    The code is 0 when the command returns and the ``SystemExit`` code
+    when it exits (2 for a usage error). Any other exception propagates,
+    so a broken command fails its test with the traceback.
+    """
+    import io
+    from contextlib import redirect_stdout
+
+    from ksetfix.cli import main
+
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            main.main(list(args))
+    except SystemExit as err:
+        return err.code, out.getvalue()
+    return 0, out.getvalue()
 
 
 def emitted_rows(k: int):
@@ -533,6 +559,16 @@ def poly_mul(a, b):
     """a * b, by ``add_product``; the operands' exponent sets must be disjoint."""
     a, b = ({mask: {0: c} for mask, c in poly_fractions(p).items()} for p in (a, b))
     return at_x_one(add_product({}, a, b))
+
+
+def k4_closed_form():
+    """(3/2)(1 - e^{-1/3}) e^{-7/4} + (11/3) e^{-25/12}: the limiting survival at k = 4."""
+    e74 = poly_from_fractions({0b1011: 1})
+    e2512 = poly_from_fractions({0b1111: 1})
+    return poly_add(
+        poly_scaled(poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)),
+        poly_scaled(e2512, Fraction(11, 3)),
+    )
 
 
 def coefficient_sum(poly) -> Fraction:

@@ -11,11 +11,8 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from click.testing import CliRunner
 
 from ksetfix import finite
-from ksetfix.cli import main as cli_main
-from ksetfix.exppoly import ExpPoly
 from ksetfix.finite import exceptions, finite_table, fixing_counts
 from ksetfix.limits import evaluate
 from ksetfix.montecarlo import sample_finite_fix, sample_limit_survival
@@ -26,18 +23,16 @@ from reference_data import (
     LIMIT_TABLE_8DP,
     RISING_PAIRS_70,
     brute_fix_fractions,
-    brute_partitions,
     brute_subpartition_sums,
     centralizer_size,
     emitted_rows,
-    exp_inv,
+    k4_closed_form,
     load_golden_finite,
-    poly_add,
-    poly_mul,
+    partitions_of,
     poly_one,
-    poly_scaled,
     poly_sub,
     row_contribution,
+    run_cli,
     within,
 )
 
@@ -48,16 +43,16 @@ def report(criterion: str, failures: list) -> None:
     assert not failures, failures[:10]
 
 
-def run_cli(*args: str) -> str:
-    result = CliRunner().invoke(cli_main, list(args))
-    assert result.exit_code == 0, result.output
-    return result.output
+def cli_output(*args: str) -> str:
+    code, out = run_cli(*args)
+    assert code == 0, out
+    return out
 
 
 def check_limit_range(ks) -> list:
     failures = []
     for k in ks:
-        out = run_cli("limit", "--k", str(k), "--digits", "8")
+        out = cli_output("limit", "--k", str(k), "--digits", "8")
         lines = dict(line.split(" = ") for line in out.splitlines())
         want_i, want_rows = LIMIT_TABLE_8DP[k]
         if lines["i_inf"] != want_i:
@@ -90,12 +85,7 @@ def test_criterion_03_limit_values_long_tier(survival):
 
 def test_criterion_04_k4_closed_form(survival):
     failures = []
-    e74 = ExpPoly({0b1011: 1})
-    e2512 = ExpPoly({0b1111: 1})
-    closed = poly_add(
-        poly_scaled(poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)),
-        poly_scaled(e2512, Fraction(11, 3)),
-    )
+    closed = k4_closed_form()
     table_value = evaluate(survival.poly(4), 12)
     closed_value = evaluate(closed, 12)
     if table_value.value != closed_value.value:
@@ -224,7 +214,7 @@ def test_criterion_08_oracle_equivalence(partition_corpus):
     # (d) class equation
     for n in range(1, 41):
         total = sum(
-            Fraction(1, centralizer_size(ms)) for ms in brute_partitions(n)
+            Fraction(1, centralizer_size(ms)) for ms in partitions_of(n)
         )
         if total != 1:
             failures.append(("d", n))
@@ -257,10 +247,10 @@ def test_criterion_10_byte_determinism(tmp_path):
         "ratio": (["ratio", "--k-max", "12"], ([], [])),
     }
     for name, (args, variants) in recipes.items():
-        outputs = {run_cli(*args, *extra) for extra in variants}
+        outputs = {cli_output(*args, *extra) for extra in variants}
         if len(outputs) != 1:
             failures.append((name, "outputs differ across runs/parallelism"))
-    exc_outputs = {run_cli("exceptions", "--n-max", "40") for _ in range(2)}
+    exc_outputs = {cli_output("exceptions", "--n-max", "40") for _ in range(2)}
     if len(exc_outputs) != 1:
         failures.append(("exceptions", "nondeterministic"))
     report("criterion 10: byte-identical outputs, serial and parallel", failures)

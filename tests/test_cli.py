@@ -1,23 +1,26 @@
 """Command-line surface: formats, golden lines, exit codes, determinism,
-and the modules each command (or ``import ksetfix``) loads."""
+and the modules each command (or ``import ksetfix``) loads.
+
+Commands run in process through ``reference_data.run_cli``; the checks
+of exit code 3, of a closed stdout and of the loaded modules launch a
+fresh interpreter instead."""
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from ksetfix.cli import main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from reference_data import descend_walk, poly_one, poly_sub, run_cli
 
 
-def test_limit_k4(runner):
-    result = runner.invoke(main, ["limit", "--k", "4", "--digits", "8"])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
+def test_limit_k4():
+    code, out = run_cli("limit", "--k", "4", "--digits", "8")
+    assert code == 0
+    lines = out.splitlines()
     assert "k = 4" in lines
     assert "i_inf = 0.46955773" in lines
     assert "p_inf = 0.53044227" in lines
@@ -25,46 +28,42 @@ def test_limit_k4(runner):
     assert any(line.startswith("pruned_divisibility = ") for line in lines)
 
 
-def test_limit_k1(runner):
-    result = runner.invoke(main, ["limit", "--k", "1"])
-    assert result.exit_code == 0
-    assert "i_inf = 0.63212056" in result.output
-    assert "rows = 1" in result.output
+def test_limit_k1():
+    code, out = run_cli("limit", "--k", "1")
+    assert code == 0
+    assert "i_inf = 0.63212056" in out
+    assert "rows = 1" in out
 
 
-def test_limit_emit_rows(runner, tmp_path):
+def test_limit_emit_rows(tmp_path):
     path = tmp_path / "rows.csv"
-    result = runner.invoke(
-        main, ["limit", "--k", "4", "--emit-rows", str(path)]
-    )
-    assert result.exit_code == 0
+    code, _ = run_cli("limit", "--k", "4", "--emit-rows", str(path))
+    assert code == 0
     assert path.read_text() == (
         "3,0,0\n2,0,0\n1,1,0\n1,0,0\n0,1,1\n0,1,0\n0,0,1\n0,0,0\n"
     )
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 16])
-def test_limit_counters_same_with_emit_rows(runner, tmp_path, k):
+def test_limit_counters_same_with_emit_rows(tmp_path, k):
     # --emit-rows walks the rows apart from the counting programme; the
     # counters and the rows are those of the prefix walk
-    from reference_data import descend_walk
-
     path = tmp_path / "rows.csv"
     args = ["limit", "--k", str(k)]
-    counted = runner.invoke(main, args)
-    emitted = runner.invoke(main, args + ["--emit-rows", str(path)])
-    assert counted.exit_code == emitted.exit_code == 0
-    assert counted.output == emitted.output
+    counted = run_cli(*args)
+    emitted = run_cli(*args, "--emit-rows", str(path))
+    assert counted[0] == emitted[0] == 0
+    assert counted[1] == emitted[1]
     walked = []
     descend_walk(k, lambda row: walked.append(",".join(map(str, row)) + "\n"))
     assert path.read_text() == "".join(walked)
 
 
-def test_limit_k22_fifty_digits(runner):
+def test_limit_k22_fifty_digits():
     # the benchmark's limit_deep output, pinned line for line
-    result = runner.invoke(main, ["limit", "--k", "22", "--digits", "50"])
-    assert result.exit_code == 0
-    assert result.output.splitlines() == [
+    code, out = run_cli("limit", "--k", "22", "--digits", "50")
+    assert code == 0
+    assert out.splitlines() == [
         "k = 22",
         "i_inf = 0.31449861822571299565946564534400799367723201146434",
         "p_inf = 0.68550138177428700434053435465599200632276798853566",
@@ -76,40 +75,36 @@ def test_limit_k22_fifty_digits(runner):
     ]
 
 
-def test_limit_table_k6(runner):
-    result = runner.invoke(main, ["limit-table", "--k-max", "6"])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
+def test_limit_table_k6():
+    code, out = run_cli("limit-table", "--k-max", "6")
+    assert code == 0
+    lines = out.splitlines()
     assert lines[0] == "k,i_inf,rows"
     assert len(lines) == 7
     assert lines[-1] == "6,0.42505870,29"
 
 
-def test_limit_table_k1(runner):
-    result = runner.invoke(main, ["limit-table", "--k-max", "1"])
-    assert result.output.splitlines() == ["k,i_inf,rows", "1,0.63212056,1"]
+def test_limit_table_k1():
+    _, out = run_cli("limit-table", "--k-max", "1")
+    assert out.splitlines() == ["k,i_inf,rows", "1,0.63212056,1"]
 
 
-def test_finite_table_long_format(runner):
-    result = runner.invoke(
-        main, ["finite-table", "--n-max", "5", "--k-max", "2"]
-    )
-    lines = result.output.splitlines()
+def test_finite_table_long_format():
+    _, out = run_cli("finite-table", "--n-max", "5", "--k-max", "2")
+    lines = out.splitlines()
     assert lines[0] == "n,k,value"
     assert "5,2,0.55000" in lines
     assert "4,2,0.41667" in lines
 
 
-def test_finite_table_survival_variant(runner):
-    result = runner.invoke(
-        main, ["finite-table", "--n-max", "3", "--which", "p"]
-    )
-    assert "3,1,0.33333" in result.output.splitlines()
+def test_finite_table_survival_variant():
+    _, out = run_cli("finite-table", "--n-max", "3", "--which", "p")
+    assert "3,1,0.33333" in out.splitlines()
 
 
-def test_finite_table_wide(runner):
-    result = runner.invoke(main, ["finite-table", "--n-max", "6", "--wide"])
-    lines = result.output.splitlines()
+def test_finite_table_wide():
+    _, out = run_cli("finite-table", "--n-max", "6", "--wide")
+    lines = out.splitlines()
     assert lines[0].lstrip().startswith("n\\k")
     assert any(line.lstrip().startswith("6") and "0.36250" in line for line in lines)
 
@@ -154,23 +149,23 @@ WIDE_PINNED = {
 
 
 @pytest.mark.parametrize("options", list(WIDE_PINNED), ids=["n9", "n20-k3-p"])
-def test_finite_table_wide_pinned(runner, options):
-    result = runner.invoke(main, ["finite-table", *options, "--wide"])
-    assert result.exit_code == 0
-    assert result.output == "".join(line + "\n" for line in WIDE_PINNED[options])
+def test_finite_table_wide_pinned(options):
+    code, out = run_cli("finite-table", *options, "--wide")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in WIDE_PINNED[options])
 
 
-def test_exceptions_output(runner):
-    result = runner.invoke(main, ["exceptions", "--n-max", "36"])
-    assert result.output == "30,9\n36,11\n"
-    empty = runner.invoke(main, ["exceptions", "--n-max", "20"])
-    assert empty.output == ""
-    assert empty.exit_code == 0
+def test_exceptions_output():
+    _, out = run_cli("exceptions", "--n-max", "36")
+    assert out == "30,9\n36,11\n"
+    code, empty = run_cli("exceptions", "--n-max", "20")
+    assert empty == ""
+    assert code == 0
 
 
-def test_ratio_smallest_range(runner):
-    result = runner.invoke(main, ["ratio", "--k-max", "2"])
-    lines = result.output.splitlines()
+def test_ratio_smallest_range():
+    _, out = run_cli("ratio", "--k-max", "2")
+    lines = out.splitlines()
     assert lines == ["k,ratio", "2,0.33919847"]
 
 
@@ -207,11 +202,11 @@ RATIO_K30_D8 = """k,ratio
 """
 
 
-def test_ratio_output_pinned(runner):
+def test_ratio_output_pinned():
     # every k of the paper's range k <= 30; the tests above stop at k = 2
-    result = runner.invoke(main, ["ratio", "--k-max", "30", "--digits", "8"])
-    assert result.exit_code == 0
-    assert result.output == RATIO_K30_D8
+    code, out = run_cli("ratio", "--k-max", "30", "--digits", "8")
+    assert code == 0
+    assert out == RATIO_K30_D8
 
 
 # SHA-256 of the stdout of limit-table and ratio at --k-max 30, then
@@ -220,38 +215,34 @@ SWEEP_DIGEST = "9da5a99fa9b5884f57b9d99571aa55f7a376ad7276ac95911e0bac06a64f1da4
 
 
 @pytest.mark.longrun
-def test_digits_sweep_digest(runner):
+def test_digits_sweep_digest():
     # a change of the evaluators that keeps every printed byte keeps this
     from ksetfix.limits import decay_exponent
 
     digest = hashlib.sha256()
     for digits in range(1, 51):
         for command in ("limit-table", "ratio"):
-            result = runner.invoke(
-                main, [command, "--k-max", "30", "--digits", str(digits)]
-            )
-            assert result.exit_code == 0
-            digest.update(result.output.encode())
+            code, out = run_cli(command, "--k-max", "30", "--digits", str(digits))
+            assert code == 0
+            digest.update(out.encode())
         digest.update(f"{decay_exponent(digits)}\n".encode())
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
-def test_mc_limit_reproducible(runner):
+def test_mc_limit_reproducible():
     args = ["mc", "--k", "4", "--samples", "2000", "--seed", "11"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert first.exit_code == 0
-    assert first.output == second.output
-    assert first.output.startswith("survival(k=4) = ")
-    assert "(samples=2000, seed=11)" in first.output
+    code, first = run_cli(*args)
+    _, second = run_cli(*args)
+    assert code == 0
+    assert first == second
+    assert first.startswith("survival(k=4) = ")
+    assert "(samples=2000, seed=11)" in first
 
 
-def test_mc_finite_mode(runner):
-    result = runner.invoke(
-        main, ["mc", "--n", "6", "--k", "3", "--samples", "1000", "--seed", "3"]
-    )
-    assert result.exit_code == 0
-    assert result.output.startswith("fix(n=6, k=3) = ")
+def test_mc_finite_mode():
+    code, out = run_cli("mc", "--n", "6", "--k", "3", "--samples", "1000", "--seed", "3")
+    assert code == 0
+    assert out.startswith("fix(n=6, k=3) = ")
 
 
 # stdout of the samplers as first recorded, when they still built each
@@ -265,24 +256,19 @@ MC_PINNED = {
 
 
 @pytest.mark.parametrize("model", list(MC_PINNED), ids=["limit", "finite"])
-def test_mc_output_pinned(runner, model):
-    result = runner.invoke(main, ["mc", *model, "--samples", "20000", "--seed", "1"])
-    assert result.exit_code == 0
-    assert result.output == MC_PINNED[model]
+def test_mc_output_pinned(model):
+    code, out = run_cli("mc", *model, "--samples", "20000", "--seed", "1")
+    assert code == 0
+    assert out == MC_PINNED[model]
 
 
-def test_usage_errors_exit_two(runner):
-    assert runner.invoke(main, ["limit", "--k", "0"]).exit_code == 2
-    assert runner.invoke(main, ["limit", "--k", "4", "--digits", "51"]).exit_code == 2
-    assert runner.invoke(main, ["mc", "--k", "2", "--samples", "0"]).exit_code == 2
-    assert (
-        runner.invoke(
-            main, ["mc", "--n", "3", "--k", "5", "--samples", "10"]
-        ).exit_code
-        == 2
-    )
-    assert runner.invoke(main, ["exceptions", "--n-max", "3"]).exit_code == 2
-    assert runner.invoke(main, ["ratio", "--k-max", "1"]).exit_code == 2
+def test_usage_errors_exit_two():
+    assert run_cli("limit", "--k", "0")[0] == 2
+    assert run_cli("limit", "--k", "4", "--digits", "51")[0] == 2
+    assert run_cli("mc", "--k", "2", "--samples", "0")[0] == 2
+    assert run_cli("mc", "--n", "3", "--k", "5", "--samples", "10")[0] == 2
+    assert run_cli("exceptions", "--n-max", "3")[0] == 2
+    assert run_cli("ratio", "--k-max", "1")[0] == 2
 
 
 # each exits 2 before any engine runs; DIR stands for an existing directory
@@ -307,11 +293,11 @@ USAGE_ERRORS = {
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
-def test_usage_error_cases_exit_two(runner, tmp_path, case):
+def test_usage_error_cases_exit_two(tmp_path, case):
     args = [arg.replace("DIR", str(tmp_path)) for arg in USAGE_ERRORS[case]]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
+    code, out = run_cli(*args)
+    assert code == 2, out
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -319,17 +305,15 @@ def test_usage_error_cases_exit_two(runner, tmp_path, case):
     [["limit-table", "--k-max", "2", "--output"], ["limit", "--k", "3", "--emit-rows"]],
     ids=["output", "emit-rows"],
 )
-def test_file_in_unwritable_directory_exits_two(runner, tmp_path, monkeypatch, args):
+def test_file_in_unwritable_directory_exits_two(tmp_path, monkeypatch, args):
     # for root every directory is writable, so os.access stands in for chmod
-    import os
-
     access = os.access
     monkeypatch.setattr(
         os, "access", lambda path, mode: str(path) != str(tmp_path) and access(path, mode)
     )
-    result = runner.invoke(main, [*args, str(tmp_path / "x.csv")])
-    assert result.exit_code == 2, result.output
-    assert result.stdout == ""
+    code, out = run_cli(*args, str(tmp_path / "x.csv"))
+    assert code == 2, out
+    assert out == ""
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -348,10 +332,10 @@ COMMAND_OPTIONS = {
 
 
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
-def test_help_names_every_option_and_default(runner, command):
-    result = runner.invoke(main, [command, "--help"])
-    assert result.exit_code == 0
-    words = result.stdout.split()
+def test_help_names_every_option_and_default(command):
+    code, out = run_cli(command, "--help")
+    assert code == 0
+    words = out.split()
     text = " ".join(words)
     for option, default in COMMAND_OPTIONS[command].items():
         assert option in words, option
@@ -371,32 +355,27 @@ OUTPUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("case", list(OUTPUT_COMMANDS))
-def test_output_flag_writes_lf_file(runner, tmp_path, case):
+def test_output_flag_writes_lf_file(tmp_path, case):
     args = OUTPUT_COMMANDS[case]
     path = tmp_path / "table.csv"
-    result = runner.invoke(main, [*args, "--output", str(path)])
-    assert result.exit_code == 0
-    assert result.output == ""
+    code, out = run_cli(*args, "--output", str(path))
+    assert code == 0
+    assert out == ""
     data = path.read_bytes()
-    assert data == runner.invoke(main, args).stdout_bytes
+    assert data == run_cli(*args)[1].encode()
     if case == "limit-table":
         assert data == b"k,i_inf,rows\n1,0.63212056,1\n2,0.55373968,2\n3,0.49658324,4\n"
 
 
-def test_jobs_flag_byte_identical(runner, tmp_path):
+def test_jobs_flag_byte_identical(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    runner.invoke(main, ["limit-table", "--k-max", "7", "--output", str(serial)])
-    runner.invoke(
-        main,
-        ["limit-table", "--k-max", "7", "--jobs", "2", "--output", str(parallel)],
-    )
+    run_cli("limit-table", "--k-max", "7", "--output", str(serial))
+    run_cli("limit-table", "--k-max", "7", "--jobs", "2", "--output", str(parallel))
     assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_internal_invariant_maps_to_exit_three(monkeypatch):
-    import sys
-
     from ksetfix import cli, limits
 
     def broken(k):
@@ -409,33 +388,39 @@ def test_internal_invariant_maps_to_exit_three(monkeypatch):
     assert excinfo.value.code == 3
 
 
-def run_script(script, *argv, flags=()):
-    """Run ``script`` in a fresh interpreter that imports this ksetfix."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def script_env(**extra):
+    """The environment of a fresh interpreter that imports this ksetfix."""
     import ksetfix
 
     src = str(Path(ksetfix.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
+def run_script(script, *argv, flags=()):
+    """Run ``script`` in a fresh interpreter that imports this ksetfix."""
     return subprocess.run(
         [sys.executable, *flags, "-c", script, *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=script_env(), capture_output=True, text=True, timeout=60,
     )
+
+
+def launch(setup, *argv, flags=()):
+    """Run the statements ``setup``, then the CLI on ``argv``, in a fresh
+    interpreter; ``setup`` sees ``sys`` and ``ksetfix.cli`` imported."""
+    script = (
+        "import sys\n"
+        "from ksetfix import cli\n"
+        f"{setup}"
+        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
+        "cli.run()\n"
+    )
+    return run_script(script, *argv, flags=flags)
 
 
 def run_with_broken_guard(*args):
     """Run the CLI under python -O with evaluate's guard digits negative."""
-    script = (
-        "import sys\n"
-        "from ksetfix import cli, limits\n"
-        "limits._EVAL_GUARD = -10\n"
-        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
-        "cli.run()\n"
-    )
-    return run_script(script, *args, flags=("-O",))
+    setup = "from ksetfix import limits\nlimits._EVAL_GUARD = -10\n"
+    return launch(setup, *args, flags=("-O",))
 
 
 def test_invariant_checks_survive_optimize_flag():
@@ -456,16 +441,13 @@ def test_ratio_budget_check_survives_optimize_flag():
 def test_row_walk_check_survives_optimize_flag(tmp_path):
     # a walk that drops rows disagrees with the programme's count; the check
     # is a raise, not an assert, so python -O keeps it and the CLI exits 3
-    script = (
-        "import sys\n"
+    setup = (
         "from itertools import islice, product\n"
-        "from ksetfix import cli, table\n"
+        "from ksetfix import table\n"
         "table.product = lambda *free: islice(product(*free), 1, None)\n"
-        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
-        "cli.run()\n"
     )
     rows = str(tmp_path / "rows.csv")
-    proc = run_script(script, "limit", "--k", "5", "--emit-rows", rows, flags=("-O",))
+    proc = launch(setup, "limit", "--k", "5", "--emit-rows", rows, flags=("-O",))
     assert proc.returncode == 3, proc.stderr
     assert "internal invariant violation" in proc.stderr
     assert proc.stdout == ""
@@ -474,19 +456,19 @@ def test_row_walk_check_survives_optimize_flag(tmp_path):
 
 @pytest.mark.parametrize("target", ["file", "symlink"])
 def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, target):
-    # an interrupt after a few rows removes the rows file; a path that is
-    # not a regular file itself, here a symlink, is left as it is
+    # an interrupt after a few blocks of CSV lines removes the rows file; a
+    # path that is not a regular file itself, here a symlink, is left as it is
     from ksetfix import limits
 
     checked = limits.limiting_survival_checked
 
-    def interrupted(k, consumer):
-        rows = []
+    def interrupted(k, write):
+        blocks = []
 
-        def take(row):
-            consumer(row)
-            rows.append(row)
-            if len(rows) == 3:
+        def take(block):
+            write(block)
+            blocks.append(block)
+            if len(blocks) == 3:
                 raise KeyboardInterrupt
 
         return checked(k, take)
@@ -497,7 +479,7 @@ def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, tar
         (tmp_path / "kept.csv").touch()
         path.symlink_to(tmp_path / "kept.csv")
     with pytest.raises(KeyboardInterrupt):
-        main.main(["limit", "--k", "12", "--emit-rows", str(path)])
+        run_cli("limit", "--k", "12", "--emit-rows", str(path))
     assert path.is_symlink() == (target == "symlink")
     assert path.exists() == (target == "symlink")
 
@@ -505,16 +487,8 @@ def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, tar
 def test_closed_stdout_exits_one_without_traceback():
     # a reader that leaves early (``ksetfix ... | head``) gets exit 1 and a
     # quiet stderr, buffered stdout or not
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ksetfix
-
-    src = str(Path(ksetfix.__file__).resolve().parent.parent)
     for unbuffered in ("", "1"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        env = script_env(PYTHONUNBUFFERED=unbuffered)
         proc = subprocess.Popen(
             [sys.executable, "-m", "ksetfix.cli", "limit-table", "--k-max", "3"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -547,17 +521,14 @@ COMMAND_MODULES = {
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_imports_only_its_engine(command):
     args, engine = COMMAND_MODULES[command]
-    script = (
-        "import sys\n"
-        "from ksetfix import cli\n"
-        "sys.argv = ['ksetfix', *sys.argv[1:]]\n"
-        "try:\n"
-        "    cli.run()\n"
-        "finally:\n"
-        "    print(*sorted(m for m in sys.modules if m.startswith('ksetfix')\n"
-        "                  or m in ('decimal', 'fractions', 'click', 'dataclasses')))\n"
+    # the module list is printed at exit, after the command's output
+    setup = (
+        "import atexit\n"
+        "atexit.register(lambda: print(*sorted(\n"
+        "    m for m in sys.modules if m.startswith('ksetfix')\n"
+        "    or m in ('decimal', 'fractions', 'click', 'dataclasses'))))\n"
     )
-    proc = run_script(script, *args)
+    proc = launch(setup, *args)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     want = BASE_MODULES | {"ksetfix." + name for name in engine}
@@ -586,9 +557,6 @@ def test_package_names_resolve_lazily():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["ksetfix", "ksetfix ksetfix.partitions"]
 
-    import re
-    from pathlib import Path
-
     import ksetfix
 
     for name in ksetfix.__all__:
@@ -602,26 +570,25 @@ def test_package_names_resolve_lazily():
     assert set(ksetfix.__all__) == set(re.findall(r"`(\w+)`", listed[1]))
 
 
-def test_csv_digits_consistent_with_higher_precision(runner):
+def test_csv_digits_consistent_with_higher_precision():
     # D-place CSV values must equal the (D+10)-place library values
     # rounded back to D places
     from ksetfix.limits import evaluate, limiting_survival
     from ksetfix.precision import round_scaled
 
-    from reference_data import poly_one, poly_sub
-
-    result = runner.invoke(main, ["limit-table", "--k-max", "5", "--digits", "8"])
-    for line in result.output.splitlines()[1:]:
+    _, out = run_cli("limit-table", "--k-max", "5", "--digits", "8")
+    for line in out.splitlines()[1:]:
         k, value, _ = line.split(",")
         fine = evaluate(poly_sub(poly_one(), limiting_survival(int(k))), 18)
         assert round_scaled(fine.scaled, 18, 8) == int(value.replace(".", ""))
 
 
-def test_jobs_environment_variable_not_read(runner):
+def test_jobs_environment_variable_not_read(monkeypatch):
     # KSETFIX_JOBS is not a setting: even a value --jobs would reject is
     # passed over
     args = ["limit-table", "--k-max", "2"]
-    base = runner.invoke(main, args)
-    result = runner.invoke(main, args, env={"KSETFIX_JOBS": "0"})
-    assert base.exit_code == result.exit_code == 0
-    assert result.stdout == base.stdout
+    base = run_cli(*args)
+    monkeypatch.setenv("KSETFIX_JOBS", "0")
+    result = run_cli(*args)
+    assert base[0] == result[0] == 0
+    assert result[1] == base[1]

@@ -29,13 +29,13 @@ from ksetfix.limits import evaluate, limiting_survival
 from reference_data import (
     LIMIT_TABLE_8DP,
     brute_fix_fractions,
-    brute_partitions,
     format_probability,
     load_golden_finite,
     mask_fixing_count_table,
     partition_count_recurrence,
     partition_fixing_counts,
     partitions_of,
+    restricted_permutation_counts,
     row_series,
 )
 
@@ -52,10 +52,11 @@ def test_partition_counts_match_recurrence():
 
 
 def test_partitions_of_complete_and_distinct():
+    pcount = partition_count_recurrence(12)
     for n in range(1, 13):
         got = list(partitions_of(n))
-        assert len(set(got)) == len(got)
-        assert set(got) == set(brute_partitions(n))
+        assert len(set(got)) == len(got) == pcount[n], n
+        assert all(sum(j * m for j, m in enumerate(ms, start=1)) == n for ms in got), n
 
 
 def test_partitions_descending_lex_on_part_lists():
@@ -266,19 +267,8 @@ def cauchy_gap_bound(n: int, k: int) -> Fraction:
     interval, and one Fraction is built at the end.
     """
     fact = [factorial(i) for i in range(n + 1)]
-
-    def count(lengths):
-        # c[r]: permutations of r points with every cycle length in lengths;
-        # the cycle through one fixed point has length j, and is one of
-        # (r-1)!/(r-j)! such cycles
-        c = [1]
-        for r in range(1, n + 1):
-            c.append(
-                sum(fact[r - 1] // fact[r - j] * c[r - j] for j in lengths if j <= r)
-            )
-        return c
-
-    A, Q = count(range(1, k + 1)), count(range(k + 1, n + 1))  # s! a_s, r! q(r)
+    A = restricted_permutation_counts(n, range(1, k + 1))  # s! a_s
+    Q = restricted_permutation_counts(n, range(k + 1, n + 1))  # r! q(r)
     e, allowance = exp_neg_harmonic(k)
     lo, hi = e - allowance, e + allowance
     d = lcm(lo.denominator, hi.denominator)

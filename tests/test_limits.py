@@ -27,12 +27,9 @@ from reference_data import (
     coefficient_sum,
     descend_walk,
     emitted_rows,
-    exp_inv,
     fraction_evaluate_scaled,
-    poly_add,
-    poly_mul,
+    k4_closed_form,
     poly_one,
-    poly_scaled,
     poly_sub,
     row_contribution,
     row_factor,
@@ -100,13 +97,7 @@ def test_k4_all_row_values_six_places():
 
 
 def test_k4_survival_equals_closed_form():
-    # (3/2)(1 - e^{-1/3}) e^{-7/4} + (11/3) e^{-25/12}, entered symbolically
-    e74 = ExpPoly({E1 | E2 | E4: 1})
-    e2512 = ExpPoly({E1 | E2 | E3 | E4: 1})
-    closed = poly_add(
-        poly_scaled(poly_mul(poly_sub(poly_one(), exp_inv(3)), e74), Fraction(3, 2)),
-        poly_scaled(e2512, Fraction(11, 3)),
-    )
+    closed = k4_closed_form()
     assert limiting_survival(4) == closed
     assert evaluate(closed, 6).value == "0.530442"
 

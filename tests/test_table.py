@@ -19,6 +19,7 @@ from reference_data import (
     descend_walk,
     divisibility_free,
     emitted_rows,
+    prefix_walk,
     subpartition_sums,
 )
 
@@ -26,45 +27,33 @@ from reference_data import (
 def reference_enumerate(k):
     """The same walk, recomputing every candidate test from scratch.
 
-    Classification mirrors the production three-stage order but calls the
-    plain module-level predicates on the whole extended partial row. It
-    keeps its own five tallies, partials_considered included, so the sum
-    that ``enumerate_rows`` derives is checked against a separate count.
+    Its step mirrors the production three-stage order but calls the plain
+    module-level predicates on the whole extended prefix. Each step checks
+    that its tries, counted from where they stopped, equal the three
+    stages' sum, which ``enumerate_rows`` reports as partials_considered.
     """
-    rows = []
-    if k == 1:
-        return [()], TableStats(rows_emitted=1)
-    tally = dict.fromkeys(TableStats._fields, 0)
 
-    def classify(ms):
-        tally["partials_considered"] += 1
-        if universality_index(ms) >= k:
-            tally["pruned_universal"] += 1
-            return False
-        if divisibility_free(k, ms):
-            tally["pruned_divisibility"] += 1
-            return True
-        tally["full_tests"] += 1
-        return k not in subpartition_sums(ms, k)
-
-    r = []
-    while True:
-        if len(r) == k - 1:
-            rows.append(tuple(r))
-            tally["rows_emitted"] += 1
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                return rows, TableStats(**tally)
-            r[-1] -= 1
-        else:
-            j = len(r) + 1
-            for m in range(position_bound(k, j), -1, -1):
-                if classify(r + [m]):
-                    r.append(m)
-                    break
+    def step(j, prefix):
+        universal = divisible = full = 0
+        for top in range(position_bound(k, j), -1, -1):
+            ms = prefix + (top,)
+            if universality_index(ms) >= k:
+                universal += 1
+            elif divisibility_free(k, ms):
+                divisible += 1
+                break
             else:
-                raise AssertionError("extension must succeed at m=0")
+                full += 1
+                if k not in subpartition_sums(ms, k):
+                    break
+        else:
+            raise AssertionError("extension must succeed at m=0")
+        assert position_bound(k, j) - top + 1 == universal + divisible + full
+        children = [(m, prefix + (m,)) for m in range(top, -1, -1)]
+        return children, universal, divisible, full
+
+    rows = []
+    return rows, prefix_walk(k, step, (), rows.append)
 
 
 def test_k4_exact_sequence():
