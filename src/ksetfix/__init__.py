@@ -11,7 +11,8 @@ The package computes, in exact arithmetic throughout:
   when asked for the rows, a depth-first walk that settles the parts
   above k/2 in the limiting engine's closed form and writes CSV text;
 * the finite-degree probabilities for every degree up to a bound, one
-  k per run, by a dynamic programme over achievable-sum masks;
+  k per run, by a dynamic programme over achievable-sum masks that
+  settles the cycle lengths above k/2 per mask group;
 * Monte Carlo estimates of both, for cross-validation.
 
 The first two grow and trim their masks by one step,

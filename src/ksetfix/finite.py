@@ -8,11 +8,15 @@ fixing probability is a sum of exact unit fractions over the partitions
 of n, with denominator dividing n!.
 
 Partitions are never built. For one k, :func:`survival_counts` folds
-every cycle length j = 1..n_max, in one loop, into states (size,
-achievable-sum mask) -> sum of n_max!/z, an integer. The mask keeps
-only the sums that can still grow to exactly k, so it rejects a k-cycle
-and is empty from there on: longer cycles lie in no k-subset, and they
-are folded in over sizes alone, with the same weights. One run serves
+the cycle lengths j = 1..n_max into sums of n_max!/z, integers, in the
+limiting programme's two phases. The lengths j <= k/2 go into states
+(size, achievable-sum mask), whose mask keeps only the sums that can
+still grow to exactly k. The live states are then gathered into one
+size -> weight map per mask: a length k/2 < j < k goes, with any number
+of copies, into the maps whose bit k - j is clear, and the maps merge
+as the bits they differ in are read for the last time. One map is left
+after length k - 1; a k-cycle never fits, and the longer cycles, which
+lie in no k-subset, fold into that one list over sizes. One run serves
 every n <= n_max; tables over several k run it per k.
 """
 
@@ -41,17 +45,28 @@ class FiniteResult(NamedTuple):
 def survival_counts(n_max: int, k: int) -> list[int]:
     """alive[n] = number of permutations of Sym_n fixing no k-subset, n <= n_max.
 
-    Parts j = 1..n_max are folded in increasing order over states (size
-    s, achievable-sum mask) weighted by n_max!/z; the m-th copy of j
-    divides the weight by j*m, which is always exact. A state is dropped
-    once bit k is set, and after part j keeps only the bits below k - j,
-    by the rule of :func:`ksetfix.partitions.part_ladder`, inline here as
-    calls cost more at about 1.8 parts per state. Every mask holds bit 0,
-    the empty sum, until part k: one k-cycle then sets bit k and is
-    dropped, and the trim leaves mask 0, so from part k on each size has
-    one state and only the weight rule acts. A state with no room for
-    part j+1 is final and goes into its size's total, and alive[n] is
-    total[n] scaled from n_max! down to n!.
+    Cycle lengths j = 1..n_max are folded in increasing order into
+    partial cycle types weighted by n_max!/z; the m-th copy of j divides
+    the weight by j*m, which is always exact. An achievable-sum mask
+    keeps, after length j, only the sums below k - j, the ones later
+    lengths read. The loop splits at h = k//2, in two phases:
+
+    - Lengths j <= h fold into states (size, mask), by the rule of
+      :func:`ksetfix.partitions.part_ladder`, inline here as calls cost
+      more at about 1.8 parts per state. A state is dropped once bit k
+      is set. A state with no room for length j+1 is final and goes
+      into its size's total.
+    - The live states are then gathered into one sparse size -> weight
+      map per mask. A length h < j < k adds only sums above k - j, so it
+      never changes a trimmed mask, and it is allowed, with any number
+      of copies, exactly when bit k - j is clear: the rule of
+      :func:`ksetfix.partitions.free_large_parts`, inline here too. It
+      goes into those maps, and the maps whose masks differ only in bit
+      k - j merge. Every mask holds bit 0, so after length k - 1 one map
+      is left, and a k-cycle never fits. It joins the totals, and the
+      lengths above k fold into that one list over sizes.
+
+    alive[n] is total[n] scaled from n_max! down to n!.
     """
     if not 1 <= k <= n_max:
         raise ValueError("need 1 <= k <= n_max")
@@ -62,25 +77,78 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     live[0][1] = fact[n_max]
     total = [0] * (n_max + 1)
-    for j in range(1, n_max + 1):
-        keep = (1 << max(k - j, 0)) - 1
-        limit = n_max - j - 1  # larger sizes have no room for part j+1
-        for s in range(n_max - j, -1, -1):
-            states, live[s] = live[s], {}
+    for j in range(1, k // 2 + 1):
+        keep = (1 << (k - j)) - 1
+        div = [j * m for m in range(n_max // j + 1)]
+        top = n_max - j  # sizes from top on have no room for length j+1
+        for mask, w in live[top].items():
+            total[top] += w
+            if not mask << j & kbit:
+                total[n_max] += w // j
+        live[top] = {}
+        for s in range(top - 1, -1, -1):
+            states, layer = live[s], {}
+            live[s] = layer
             for mask, w in states.items():
-                t, m = s, 0
-                while True:
-                    if t > limit:
+                key = mask & keep
+                layer[key] = layer.get(key, 0) + w
+                t, m = s + j, 1
+                mask |= mask << j  # bits above k never reach bit k
+                while t <= n_max and not mask & kbit:
+                    w //= div[m]
+                    if t >= top:
                         total[t] += w
                     else:
-                        layer, key = live[t], mask & keep
-                        layer[key] = layer.get(key, 0) + w
+                        layer_t, key = live[t], mask & keep
+                        layer_t[key] = layer_t.get(key, 0) + w
                     t += j
                     m += 1
-                    mask |= mask << j  # bits above k never reach bit k
-                    if t > n_max or mask & kbit:
-                        break
+                    mask |= mask << j
+    groups: dict[int, dict[int, int]] = {}  # mask -> {size: weight}
+    for s in range(n_max + 1):
+        states, live[s] = live[s], {}
+        for mask, w in states.items():
+            if mask in groups:
+                groups[mask][s] = w
+            else:
+                groups[mask] = {s: w}
+    for j in range(k // 2 + 1, k):
+        bit = 1 << (k - j)
+        div = [j * m for m in range(n_max // j + 1)]
+        merged = {mask ^ bit: sizes for mask, sizes in groups.items() if mask & bit}
+        while groups:  # popped, so each map is freed once it is merged
+            mask, sizes = groups.popitem()
+            if mask & bit:
+                continue
+            into = merged.get(mask)
+            if into is None:  # fold j into this map in place
+                merged[mask] = into = sizes
+                items = list(sizes.items())
+            else:  # fold j into the map whose mask has bit k - j set
+                items = sizes.items()
+                for s, w in items:
+                    into[s] = into.get(s, 0) + w
+            for s, w in items:
+                t, m = s + j, 1
+                while t <= n_max:
+                    w //= div[m]
+                    into[t] = into.get(t, 0) + w
+                    t += j
+                    m += 1
+        groups = merged
+    for sizes in groups.values():
+        for s, w in sizes.items():
+            total[s] += w
+    for j in range(k + 1, n_max + 1):
+        for s in range(n_max - j, -1, -1):
+            w = total[s]
+            if w:
+                t, m = s + j, 1
+                while t <= n_max:
                     w //= j * m
+                    total[t] += w
+                    t += j
+                    m += 1
     return [total[n] // (fact[n_max] // fact[n]) for n in range(n_max + 1)]
 
 

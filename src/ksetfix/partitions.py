@@ -13,7 +13,8 @@ the engines carry achievable-sum masks of their own, and ``is_k_free``
 is the public API and their test oracle, as :func:`universality_index`
 is the oracle of the first stage of the row table's pruning tallies.
 :func:`part_ladder` and :func:`free_large_parts` are run-time code: the
-limiting programme and the row table grow and trim their masks by them.
+limiting programme and the row table grow and trim their masks by them,
+and the finite programme spells out the same two rules inline.
 """
 
 from __future__ import annotations
@@ -86,7 +87,10 @@ def part_ladder(reach: int, j: int, k: int) -> list[int]:
     Large parts: for k/2 < j < k, m_j is 0 or 1, and 1 is allowed
     exactly when bit k - j of the mask left by the parts up to k/2 is
     clear, whatever the other large parts are: each adds only sums above
-    k/2 > k - j. The engines settle them by :func:`free_large_parts`.
+    k/2 > k - j. The engines settle them by :func:`free_large_parts`:
+    the limiting programme and the row table call it, and the finite
+    programme, where any number of j-cycles is allowed under the same
+    condition, tests bit k - j of each mask group inline.
     """
     kbit = 1 << k
     keep = (1 << (k - j)) - 1

@@ -3,9 +3,10 @@
 The golden tables in tests/golden/*.csv and the constants here are
 regression targets; the oracle functions recompute quantities by routes
 deliberately different from the library's (direct enumeration, classical
-recurrences, vectorized orbit tests, and the finite engine's two former
-routes: one knapsack per partition, and one all-k programme over
-untrimmed achievable-sum masks).
+recurrences, orbit tests on bitsets over all permutations, and the
+finite engine's three former routes: one knapsack per partition, one
+all-k programme over untrimmed achievable-sum masks, and one loop over
+every cycle length for one k).
 
 The slow paths and helpers the package no longer ships live here too:
 one walk over every prefix of the row table, which each row-table
@@ -294,6 +295,51 @@ def mask_fixing_count_table(n_max: int, cap: int) -> list[list[int]]:
     return counts
 
 
+def one_loop_survival_counts(n_max: int, k: int) -> list[int]:
+    """alive[n] = number of permutations of Sym_n fixing no k-subset, n <= n_max.
+
+    The finite engine's former one-loop programme. Parts j = 1..n_max
+    are folded in increasing order over states (size s, achievable-sum
+    mask) weighted by n_max!/z; the m-th copy of j divides the weight by
+    j*m, which is always exact. A state is dropped once bit k is set,
+    and after part j keeps only the bits below k - j. Every mask holds
+    bit 0, the empty sum, until part k: one k-cycle then sets bit k and
+    is dropped, and the trim leaves mask 0, so from part k on each size
+    has one state and only the weight rule acts. A state with no room
+    for part j+1 is final and goes into its size's total, and alive[n]
+    is total[n] scaled from n_max! down to n!.
+    """
+    if not 1 <= k <= n_max:
+        raise ValueError("need 1 <= k <= n_max")
+    fact = [1]
+    for i in range(1, n_max + 1):
+        fact.append(fact[-1] * i)
+    kbit = 1 << k
+    live: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    live[0][1] = fact[n_max]
+    total = [0] * (n_max + 1)
+    for j in range(1, n_max + 1):
+        keep = (1 << max(k - j, 0)) - 1
+        limit = n_max - j - 1  # larger sizes have no room for part j+1
+        for s in range(n_max - j, -1, -1):
+            states, live[s] = live[s], {}
+            for mask, w in states.items():
+                t, m = s, 0
+                while True:
+                    if t > limit:
+                        total[t] += w
+                    else:
+                        layer, key = live[t], mask & keep
+                        layer[key] = layer.get(key, 0) + w
+                    t += j
+                    m += 1
+                    mask |= mask << j  # bits above k never reach bit k
+                    if t > n_max or mask & kbit:
+                        break
+                    w //= j * m
+    return [total[n] // (fact[n_max] // fact[n]) for n in range(n_max + 1)]
+
+
 def restricted_permutation_counts(n: int, lengths) -> list[int]:
     """c[r] for r = 0..n: permutations of r points with every cycle length in lengths.
 
@@ -331,23 +377,29 @@ def partition_count_recurrence(n_max: int) -> list[int]:
 def brute_fix_fractions(n: int) -> dict[int, Fraction]:
     """fraction of Sym_n fixing some k-set, every k, by the literal orbit test.
 
-    Vectorized over all n! permutations: a subset (bitmask) is fixed by a
-    permutation iff its pointwise image equals itself. No cycle theory is
-    consulted.
+    Bitsets over all n! permutations: bit p of ``at[i][v]`` is set when
+    permutation p sends i to v, so a subset S is fixed by exactly the
+    permutations in the AND over i in S of the OR over v in S of
+    ``at[i][v]``. No cycle theory is consulted.
     """
-    import numpy as np
-
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    nf = perms.shape[0]
-    bit_images = np.left_shift(1, perms)  # (n!, n); column i is 2**perm(i)
-    hits = {k: np.zeros(nf, dtype=bool) for k in range(1, n + 1)}
+    perms = list(permutations(range(n)))
+    nf = len(perms)
+    digits = [[bytearray(b"0" * nf) for _ in range(n)] for _ in range(n)]
+    for p, perm in enumerate(perms):
+        for i, v in enumerate(perm):
+            digits[i][v][p] = ord("1")
+    at = [[int(row, 2) for row in rows] for rows in digits]
+    hits = [0] * (n + 1)
     for mask in range(1, 1 << n):
-        img = np.zeros(nf, dtype=np.int64)
-        for i in range(n):
-            if mask >> i & 1:
-                img |= bit_images[:, i]
-        hits[mask.bit_count()] |= img == mask
-    return {k: Fraction(int(hits[k].sum()), nf) for k in range(1, n + 1)}
+        members = [i for i in range(n) if mask >> i & 1]
+        fixed = -1
+        for i in members:
+            image = 0
+            for v in members:
+                image |= at[i][v]
+            fixed &= image
+        hits[len(members)] |= fixed
+    return {k: Fraction(hits[k].bit_count(), nf) for k in range(1, n + 1)}
 
 
 def format_probability(value: Fraction, digits: int) -> str:

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -215,9 +216,15 @@ SWEEP_DIGEST = "9da5a99fa9b5884f57b9d99571aa55f7a376ad7276ac95911e0bac06a64f1da4
 
 
 @pytest.mark.longrun
-def test_digits_sweep_digest():
-    # a change of the evaluators that keeps every printed byte keeps this
+def test_digits_sweep_digest(monkeypatch):
+    # a change of the evaluators that keeps every printed byte keeps this;
+    # the survival polynomials and table counts do not depend on the digits,
+    # so this test builds them once per k for the whole sweep
+    from ksetfix import limits
     from ksetfix.limits import decay_exponent
+
+    for name in ("limiting_survival", "limiting_survival_checked"):
+        monkeypatch.setattr(limits, name, lru_cache(maxsize=None)(getattr(limits, name)))
 
     digest = hashlib.sha256()
     for digits in range(1, 51):

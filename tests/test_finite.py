@@ -3,6 +3,8 @@
 The count table has two oracles: the partition stream tested first,
 with one knapsack per partition, and the former all-k programme over
 untrimmed achievable-sum masks, ``mask_fixing_count_table``. The
+survival counts have a third: the former one loop over every cycle
+length, ``one_loop_survival_counts``. The
 survival counts also meet the paper's row sum exactly: ``row_series``
 expands ``row_sum(k)``, the rows' weights with x^j per j-cycle summed by
 exponent mask, as a power series in x. test_limits holds the limiting
@@ -32,6 +34,7 @@ from reference_data import (
     format_probability,
     load_golden_finite,
     mask_fixing_count_table,
+    one_loop_survival_counts,
     partition_count_recurrence,
     partition_fixing_counts,
     partitions_of,
@@ -108,6 +111,27 @@ def test_count_table_matches_mask_oracle(n_max, cap):
 
 
 @pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(
+            [(n_max, k) for n_max in range(1, 31) for k in range(1, n_max + 1)],
+            id="n_max<=30",
+        ),
+        pytest.param([(50, k) for k in range(1, 26)], id="n_max=50"),
+        pytest.param(
+            [(70, k) for k in range(1, 36)] + [(120, 8), (250, 10), (400, 20)],
+            id="long",
+            marks=pytest.mark.longrun,
+        ),
+    ],
+)
+def test_survival_counts_match_one_loop(cases):
+    # the two-phase engine against the former one loop over every length
+    for n_max, k in cases:
+        assert survival_counts(n_max, k) == one_loop_survival_counts(n_max, k), (n_max, k)
+
+
+@pytest.mark.parametrize(
     "k,n_max",
     # the engine scales its weights by n_max!, so each n_max is its own run
     [(k, 20) for k in range(1, 8)]
@@ -127,8 +151,8 @@ def test_survival_counts_match_row_series(k, n_max):
 
 
 def test_survival_counts_k1_are_derangements():
-    # k = 1 sends every length from 2 to n through the mask loop once bit 0
-    # is trimmed away; D(n) = (n-1)(D(n-1) + D(n-2))
+    # k = 1 has no length up to k/2 or between k/2 and k, so every length
+    # from 2 to n goes through the list over sizes; D(n) = (n-1)(D(n-1) + D(n-2))
     derangements = [1, 0]
     for n in range(2, 301):
         derangements.append((n - 1) * (derangements[-1] + derangements[-2]))

@@ -1,5 +1,6 @@
 """Probability engine: row weights, accumulation, evaluation, ratio."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,21 @@ def test_grouped_accumulation_matches_row_by_row(k, survival):
     # by exponent mask and taken at x = 1 (test_finite expands the same
     # row_sum(k) against the finite engine)
     assert survival.poly(k) == at_x_one(row_sum(k))
+
+
+# sha256 over k, den and the sorted (exponent mask, numerator) terms of
+# limiting_survival(k), one line per k = 1..30, as first computed; ExpPoly
+# divides out the common gcd, so these are canonical. Row counts stay out:
+# LIMIT_TABLE_8DP pins them, and k = 29's is in dispute
+SURVIVAL_DIGEST = "452136b04701c66236d7550940062b43f6e0f429ff95a85a04d2384ef8d44fa3"
+
+
+def test_survival_polynomials_pinned_exactly():
+    digest = hashlib.sha256()
+    for k in range(1, 31):
+        poly = limiting_survival(k)
+        digest.update(f"{k} {poly.den} {sorted(poly.terms.items())}\n".encode())
+    assert digest.hexdigest() == SURVIVAL_DIGEST
 
 
 @pytest.mark.parametrize("k", range(1, 31))
