@@ -115,24 +115,27 @@ def survival_counts(n_max: int, k: int) -> list[int]:
     for j in range(k // 2 + 1, k):
         bit = 1 << (k - j)
         div = [j * m for m in range(n_max // j + 1)]
+        top = n_max - j  # sizes from top on have no room for length j+1
         merged = {mask ^ bit: sizes for mask, sizes in groups.items() if mask & bit}
         while groups:  # popped, so each map is freed once it is merged
             mask, sizes = groups.popitem()
             if mask & bit:
                 continue
-            into = merged.get(mask)
-            if into is None:  # fold j into this map in place
-                merged[mask] = into = sizes
-                items = list(sizes.items())
-            else:  # fold j into the map whose mask has bit k - j set
-                items = sizes.items()
-                for s, w in items:
+            # fold j in place, or into the map whose mask has bit k - j set
+            into = merged.setdefault(mask, sizes)
+            for s, w in list(sizes.items()):
+                if s >= top:  # no room for length j+1
+                    total[s] += w
+                    del sizes[s]
+                elif into is not sizes:
                     into[s] = into.get(s, 0) + w
-            for s, w in items:
                 t, m = s + j, 1
                 while t <= n_max:
                     w //= div[m]
-                    into[t] = into.get(t, 0) + w
+                    if t >= top:
+                        total[t] += w
+                    else:
+                        into[t] = into.get(t, 0) + w
                     t += j
                     m += 1
         groups = merged
