@@ -117,6 +117,9 @@ def survival_counts(n_max: int, k: int) -> list[int]:
         div = [j * m for m in range(n_max // j + 1)]
         top = n_max - j  # sizes from top on have no room for length j+1
         merged = {mask ^ bit: sizes for mask, sizes in groups.items() if mask & bit}
+        # the copies of j that end from top on are final: they are added
+        # to the totals once per size, from the folded weight summed here
+        final = [0] * (n_max + 1)
         while groups:  # popped, so each map is freed once it is merged
             mask, sizes = groups.popitem()
             if mask & bit:
@@ -129,13 +132,20 @@ def survival_counts(n_max: int, k: int) -> list[int]:
                     del sizes[s]
                 elif into is not sizes:
                     into[s] = into.get(s, 0) + w
+                final[s] += w
+                t, m = s + j, 1
+                while t < top:
+                    w //= div[m]
+                    into[t] = into.get(t, 0) + w
+                    t += j
+                    m += 1
+        for s, w in enumerate(final):
+            if w:
                 t, m = s + j, 1
                 while t <= n_max:
                     w //= div[m]
                     if t >= top:
                         total[t] += w
-                    else:
-                        into[t] = into.get(t, 0) + w
                     t += j
                     m += 1
         groups = merged

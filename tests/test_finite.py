@@ -3,12 +3,12 @@
 The count table has two oracles: the partition stream tested first,
 with one knapsack per partition, and the former all-k programme over
 untrimmed achievable-sum masks, ``mask_fixing_count_table``. The
-survival counts have a third: the former one loop over every cycle
-length, ``one_loop_survival_counts``. The
-survival counts also meet the paper's row sum exactly: ``row_series``
-expands ``row_sum(k)``, the rows' weights with x^j per j-cycle summed by
-exponent mask, as a power series in x. test_limits holds the limiting
-engine to the same ``row_sum(k)`` at x = 1.
+survival counts have a third, the former one loop over every cycle
+length, ``one_loop_survival_counts``, and also meet the paper's row sum
+exactly: ``row_series`` expands ``row_sum(k)``, the rows' weights with
+x^j per j-cycle summed by exponent mask, as a power series in x.
+test_limits holds the limiting engine to the same ``row_sum(k)`` at
+x = 1.
 """
 
 from decimal import Decimal, localcontext
