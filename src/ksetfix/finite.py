@@ -62,9 +62,12 @@ def survival_counts(n_max: int, k: int) -> list[int]:
       of copies, exactly when bit k - j is clear: the rule of
       :func:`ksetfix.partitions.free_large_parts`, inline here too. It
       goes into those maps, and the maps whose masks differ only in bit
-      k - j merge. Every mask holds bit 0, so after length k - 1 one map
-      is left, and a k-cycle never fits. It joins the totals, and the
-      lengths above k fold into that one list over sizes.
+      k - j merge. Sizes with no room for length j+1 settle here too,
+      and the copies of j that reach them are added once per size, from
+      the folded weight summed over the maps. Every mask holds bit 0,
+      so after length k - 1 one map is left, and a k-cycle never fits.
+      It joins the totals, and the lengths above k fold into that one
+      list over sizes.
 
     alive[n] is total[n] scaled from n_max! down to n!.
     """
