@@ -6,10 +6,10 @@ The package computes, in exact arithmetic throughout:
   permutation fixes some k-subset, as an exact exponential polynomial
   summed over the k-free cycle-type rows by a dynamic programme over
   achievable-sum masks, and evaluated to any number of decimal places;
-* the k-free rows and their pruning counters, by a dynamic programme
-  that runs one pruned descend step once per merged row prefix and,
-  when asked for the rows, a depth-first walk that settles the parts
-  above k/2 in the limiting engine's closed form and writes CSV text;
+* the k-free rows: their number and pruning counters by a dynamic
+  programme that runs one pruned descend step once per merged row
+  prefix, and the rows by a separate depth-first walk that settles the
+  parts above k/2 in the limiting engine's closed form and writes CSV;
 * the finite-degree probabilities for every degree up to a bound, one
   k per run, by a dynamic programme over achievable-sum masks that
   settles the cycle lengths above k/2 per mask group;
@@ -49,7 +49,7 @@ _EXPORTS = {
     "is_k_free": "partitions",
     "TableStats": "table",
     "enumerate_rows": "table",
-    "rows_count": "table",
+    "write_rows": "table",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -4,11 +4,13 @@ All output is plain UTF-8 text with LF line endings and is byte
 deterministic given the flags and seed. Each command is a function from
 the parsed arguments to its output lines and writes nothing itself;
 ``main`` writes the lines once, to ``--output`` when given, else to
-stdout. Both engines run serially; limit, limit-table and finite-table
-still accept --jobs and ignore it, so that existing command lines (the
-benchmark's among them) keep parsing. Each command imports its engine in
-its body, on first use, so a command loads only the engine it runs and
-``--help`` loads none.
+stdout. Only ``limit --emit-rows`` also writes a file: the rows, by
+``table.write_rows``, once the engine has counted them. Both engines
+run serially; limit, limit-table and finite-table still accept --jobs
+and ignore it, so that existing command lines (the benchmark's among
+them) keep parsing. Each command imports its engine in its body, on
+first use, so a command loads only the engine it runs and ``--help``
+loads none.
 Arguments are parsed with the standard library's ``argparse``, so the
 CLI needs no third-party package.
 Exit codes: 0 success, 2 usage error, 3 internal invariant violation.
@@ -72,16 +74,17 @@ def _echo_lines(lines, output):
 
 def limit(args) -> list[str]:
     """Limiting probabilities for one k, with table diagnostics."""
-    from . import limits
+    from . import limits, table
 
     k = args.k
-    if args.emit_rows is None:
-        survival, stats = limits.limiting_survival_checked(k)
-    else:
+    survival, stats = limits.limiting_survival_checked(k)
+    if args.emit_rows is not None:
         fh = open(args.emit_rows, "w", encoding="utf-8", newline="\n")
         try:
             with fh:
-                survival, stats = limits.limiting_survival_checked(k, fh.write)
+                written = table.write_rows(k, fh.write)
+            if written != stats.rows_emitted:
+                raise AssertionError("the walk's row count differs from the table's")
         except BaseException:
             # a failed or interrupted run leaves no partial rows file; a
             # FIFO, device or symlink (/dev/stdout) is left alone

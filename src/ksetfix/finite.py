@@ -238,6 +238,8 @@ def finite_table(
         raise ValueError("n_max must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
     table = fixing_count_table(n_max, min(n_max // 2, k_max))
     for n in range(2, n_max + 1):
         counts = table[n]

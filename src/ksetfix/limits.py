@@ -36,10 +36,10 @@ This reproduces the row-by-row sum exactly.
 
 The limiting CLI commands check this count, through
 :func:`limiting_survival_checked`, against the independent one of
-:func:`ksetfix.table.enumerate_rows`, which also gives the pruning
-counters. That function counts the rows by its own dynamic programme
-over row prefixes; only for ``limit --emit-rows`` does it also write the
-rows as CSV text, walking them split at k/2 as here, and check their number.
+:func:`ksetfix.table.enumerate_rows`, a dynamic programme over row
+prefixes that also gives the pruning counters. Only ``limit
+--emit-rows`` writes the rows, by :func:`ksetfix.table.write_rows`,
+which walks them split at k/2 as here.
 
 The comparison with the order k^-delta (ln k)^-3/2 of i(k) takes the
 fix probability from :func:`evaluate` and the growth factor from the
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from decimal import Context, Decimal
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .exppoly import ExpPoly
 from .partitions import free_large_parts, part_ladder
@@ -159,19 +159,16 @@ def _expand_groups(
     return ExpPoly(total, common), row_count
 
 
-def limiting_survival_checked(
-    k: int, write: Callable[[str], object] | None = None
-) -> tuple[ExpPoly, TableStats]:
+def limiting_survival_checked(k: int) -> tuple[ExpPoly, TableStats]:
     """The survival polynomial, and the table counters that check it.
 
     The counters come from :func:`~ksetfix.table.enumerate_rows`, which
-    counts the k-free rows without visiting them and, when ``write`` is
-    given, also walks the rows and passes them to it as CSV text blocks.
-    A row count that differs from the survival programme's is an
-    internal invariant violation.
+    counts the k-free rows without visiting them. A row count that
+    differs from the survival programme's is an internal invariant
+    violation.
     """
     survival, rows = limiting_survival_with_stats(k)
-    stats = enumerate_rows(k, write)
+    stats = enumerate_rows(k)
     if stats.rows_emitted != rows:
         raise AssertionError(
             f"the table counted {stats.rows_emitted} rows, the DP {rows}"

@@ -19,17 +19,17 @@ accepted by the divisibility criterion, or settled by
 hold the outcomes to an oracle that runs the three stages on each whole
 extended prefix, its divisibility stage from ``tests/reference_data.py``.
 
-:func:`enumerate_rows` runs the step once per key: a dynamic programme
-merges the prefixes that share a key and weights each key's tallies
-with their number, which gives the counters of a walk over every prefix
-in time that grows with the number of keys, not of rows. It returns the
-counters as one :class:`TableStats`. The limiting commands check their
-row count and print the pruning counters from it.
-Asked for the rows (``limit --emit-rows``), it walks them depth-first,
-branching on :func:`part_ladder` at the positions j <= k/2 and taking
-the larger ones in the limiting engine's closed form, writes them as CSV
-text, one block of lines per prefix, and checks their number against its
-count. The tests parse the text, and walk :func:`_descend` as the oracle.
+:func:`enumerate_rows` counts: a dynamic programme runs the step once
+per key, merging the prefixes that share a key and weighting each key's
+tallies with their number. That gives the counters of a walk over every
+prefix, as one :class:`TableStats`, in time that grows with the number
+of keys, not of rows. The limiting commands check their row count and
+print the pruning counters from it. :func:`write_rows` writes: it walks
+the rows depth-first, branching on :func:`part_ladder` at the positions
+j <= k/2 and taking the larger ones in the limiting engine's closed
+form, writes them as CSV text, one block of lines per prefix, and
+returns their number. The tests parse the text, and walk :func:`_descend`
+as the oracle.
 """
 
 from __future__ import annotations
@@ -123,16 +123,8 @@ def _descend(
     return children, universal, divisible, full
 
 
-def enumerate_rows(k: int, write: Callable[[str], object] | None = None) -> TableStats:
-    """Count the k-free rows; given ``write``, pass them to it as CSV text.
-
-    The programme keeps the number of prefixes per key, runs
-    :func:`_descend` once per key and position, and adds the step's
-    tallies times that number into the counters. With ``write``, the
-    walk of the module docstring then passes it the rows as CSV lines, in
-    decreasing lexicographic order from (k-1, 0, ..., 0) to all zeros, and
-    raises :class:`AssertionError` if their number differs from the count.
-    """
+def enumerate_rows(k: int) -> TableStats:
+    """Count the k-free rows and their pruning counters, one step per key."""
     if k < 1:
         raise ValueError("k must be >= 1")
     usable_d, div_of = _divisor_masks(k)
@@ -149,6 +141,17 @@ def enumerate_rows(k: int, write: Callable[[str], object] | None = None) -> Tabl
                 nxt[child] = nxt.get(child, 0) + count
         states = nxt
     rows = sum(states.values())
+    return TableStats(rows, universal + divisible + full, universal, divisible, full)
+
+
+def write_rows(k: int, write: Callable[[str], object]) -> int:
+    """Pass the k-free rows to ``write`` as CSV text; return how many it wrote.
+
+    The rows come in decreasing lexicographic order, from (k-1, 0, ..., 0)
+    to all zeros, one block of lines per prefix of the positions j <= k/2.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
     def walk(j: int, reach: int, prefix: str) -> int:
         if 2 * j > k:  # the closed form in part_ladder's docstring
@@ -162,12 +165,4 @@ def enumerate_rows(k: int, write: Callable[[str], object] | None = None) -> Tabl
         return sum(walk(j + 1, ladder[m], f"{prefix}{m},")
                    for m in range(len(ladder) - 1, -1, -1))
 
-    if write is not None and walk(1, 1, "") != rows:
-        raise AssertionError("the walk's row count differs from the table's")
-    return TableStats(rows, universal + divisible + full, universal, divisible, full)
-
-
-def rows_count(k: int) -> int:
-    """Number of k-free rows."""
-    return enumerate_rows(k).rows_emitted
-
+    return walk(1, 1, "")

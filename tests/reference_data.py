@@ -21,7 +21,9 @@ denominator), centralizer orders, evaluation with every exponent as a
 ``Fraction``, decimal strings of exact fractions, the Monte Carlo
 samplers that build each drawn vector and call ``is_k_free``, the
 test that an estimate lies within some standard errors of a target,
-and ``run_cli``, the one way the tests run a command in process.
+``run_cli``, the one way the tests run a command in process, and each
+check that a unit test and an acceptance criterion both make, written
+once as a function that returns its failures.
 Functions that need ksetfix import it when called, because the
 benchmark's tests load this module's constants without the package on
 the path.
@@ -484,17 +486,20 @@ def run_cli(*args: str) -> tuple[int, str]:
 
 
 def emitted_rows(k: int):
-    """The rows ``enumerate_rows`` writes, parsed back into tuples, and its stats.
+    """The rows ``write_rows`` writes, parsed back into tuples, and the
+    counters of ``enumerate_rows``.
 
     Each CSV line is one row; k = 1's single empty line is the empty row.
+    The count ``write_rows`` returns must be the number of lines.
     """
-    from ksetfix.table import enumerate_rows
+    from ksetfix.table import enumerate_rows, write_rows
 
     chunks: list[str] = []
-    stats = enumerate_rows(k, chunks.append)
+    written = write_rows(k, chunks.append)
     rows = [tuple(map(int, line.split(","))) if line else ()
             for line in "".join(chunks).splitlines()]
-    return rows, stats
+    assert written == len(rows), (written, len(rows))
+    return rows, enumerate_rows(k)
 
 
 # --- exponential-polynomial algebra, with coefficients in Q or in Q[x] ---
@@ -663,7 +668,7 @@ def weight_sum(k: int, rows):
 
 @lru_cache(maxsize=None)
 def row_sum(k: int):
-    """``weight_sum`` of the rows ``enumerate_rows`` writes; cached, so read only."""
+    """``weight_sum`` of the rows ``write_rows`` writes; cached, so read only."""
     return weight_sum(k, emitted_rows(k)[0])
 
 
@@ -709,6 +714,73 @@ def row_series(k: int, n_max: int) -> list[Fraction]:
             for i, term in enumerate(exp_series(mask)[: n_max + 1 - e]):
                 total[e + i] += c * term
     return total
+
+
+# --- checks that a unit test and an acceptance criterion share: each
+# returns its failures; the unit test asserts the list is empty, and the
+# criterion reports it ---
+
+
+def k_free_failures(corpus) -> list:
+    """(n, ms, k) where ``is_k_free`` disagrees with the sub-multiset sums.
+
+    ``corpus`` maps each n to the partitions of n, as multiplicity tuples.
+    """
+    from ksetfix.partitions import is_k_free
+
+    failures = []
+    for n, partitions in corpus.items():
+        for ms in partitions:
+            sums = brute_subpartition_sums(ms)
+            for k in range(1, n + 1):
+                if is_k_free(k, ms) != (k not in sums):
+                    failures.append((n, ms, k))
+    return failures
+
+
+def universality_failures(corpus) -> list:
+    """(ms, t) where ``universality_index(ms) >= t`` is not "0..t all achievable"."""
+    from ksetfix.partitions import universality_index
+
+    failures = []
+    for n, partitions in corpus.items():
+        for ms in partitions:
+            sums = brute_subpartition_sums(ms)
+            idx = universality_index(ms)
+            for t in range(1, n + 1):
+                if (idx >= t) != set(range(t + 1)).issubset(sums):
+                    failures.append((ms, t))
+    return failures
+
+
+def orbit_failures(n: int) -> list:
+    """(n, k) where the finite engine disagrees with the orbit test over Sym_n."""
+    from ksetfix.finite import fixing_counts
+
+    want = brute_fix_fractions(n)
+    counts = fixing_counts(n, n)
+    return [(n, k) for k in range(1, n + 1)
+            if Fraction(counts[k], counts[0]) != want[k]]
+
+
+def class_equation_failures(corpus) -> list:
+    """The n whose cycle types' 1/|centralizer| do not sum to 1 (n! tiled exactly)."""
+    return [n for n, partitions in corpus.items()
+            if sum(Fraction(1, centralizer_size(ms)) for ms in partitions) != 1]
+
+
+def k4_closed_form_failures(poly) -> list:
+    """A failure if ``poly``, the survival at k = 4, is not ``k4_closed_form``."""
+    return [] if poly == k4_closed_form() else [("symbolic equality",)]
+
+
+def k4_row_value_failures() -> list:
+    """A failure unless each written k = 4 row is worth ``K4_ROW_VALUES_6DP``."""
+    from ksetfix.limits import evaluate
+
+    rows, _ = emitted_rows(4)
+    per_row = [evaluate(row_contribution(4, r), 6).value for r in rows]
+    return [] if per_row == K4_ROW_VALUES_6DP else [("per-row 6-place", per_row)]
 
 
 # --- Monte Carlo samplers that test each drawn vector with is_k_free ---

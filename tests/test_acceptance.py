@@ -16,23 +16,22 @@ from ksetfix import finite
 from ksetfix.finite import exceptions, finite_table, fixing_counts
 from ksetfix.limits import evaluate
 from ksetfix.montecarlo import sample_finite_fix, sample_limit_survival
-from ksetfix.partitions import is_k_free, universality_index
 
 from reference_data import (
-    K4_ROW_VALUES_6DP,
     LIMIT_TABLE_8DP,
     RISING_PAIRS_70,
-    brute_fix_fractions,
-    brute_subpartition_sums,
-    centralizer_size,
-    emitted_rows,
+    class_equation_failures,
     k4_closed_form,
+    k4_closed_form_failures,
+    k4_row_value_failures,
+    k_free_failures,
     load_golden_finite,
+    orbit_failures,
     partitions_of,
     poly_one,
     poly_sub,
-    row_contribution,
     run_cli,
+    universality_failures,
     within,
 )
 
@@ -90,12 +89,8 @@ def test_criterion_04_k4_closed_form(survival):
     closed_value = evaluate(closed, 12)
     if table_value.value != closed_value.value:
         failures.append(("12-place", table_value.value, closed_value.value))
-    if survival.poly(4) != closed:
-        failures.append(("symbolic equality",))
-    rows, _ = emitted_rows(4)
-    per_row = [evaluate(row_contribution(4, r), 6).value for r in rows]
-    if per_row != K4_ROW_VALUES_6DP:
-        failures.append(("per-row 6-place", per_row))
+    failures += k4_closed_form_failures(survival.poly(4))
+    failures += k4_row_value_failures()
     report("criterion 04: k=4 closed form to 12 places and row values", failures)
 
 
@@ -188,36 +183,16 @@ def test_criterion_07_monotonicity_fast_tier(survival):
 
 
 def test_criterion_08_oracle_equivalence(partition_corpus):
-    failures = []
     # (a) k-freeness against direct sub-multiset enumeration
-    for n, corpus in partition_corpus.items():
-        for ms in corpus:
-            sums = brute_subpartition_sums(ms)
-            for k in range(1, n + 1):
-                if is_k_free(k, ms) != (k not in sums):
-                    failures.append(("a", ms, k))
+    failures = [("a", *f) for f in k_free_failures(partition_corpus)]
     # (b) universality prefix criterion against the same enumeration
-    for n, corpus in partition_corpus.items():
-        for ms in corpus:
-            sums = brute_subpartition_sums(ms)
-            idx = universality_index(ms)
-            for t in range(1, n + 1):
-                if (idx >= t) != set(range(t + 1)).issubset(sums):
-                    failures.append(("b", ms, t))
+    failures += [("b", *f) for f in universality_failures(partition_corpus)]
     # (c) finite probabilities against the literal orbit test over Sym_n
     for n in range(2, 9):
-        want = brute_fix_fractions(n)
-        counts = fixing_counts(n, n)
-        for k in range(1, n + 1):
-            if Fraction(counts[k], counts[0]) != want[k]:
-                failures.append(("c", n, k))
-    # (d) class equation
-    for n in range(1, 41):
-        total = sum(
-            Fraction(1, centralizer_size(ms)) for ms in partitions_of(n)
-        )
-        if total != 1:
-            failures.append(("d", n))
+        failures += [("c", *f) for f in orbit_failures(n)]
+    # (d) class equation, to n = 40
+    corpus = {n: partitions_of(n) for n in range(1, 41)}
+    failures += [("d", n) for n in class_equation_failures(corpus)]
     report("criterion 08: oracle equivalence suite (exact)", failures)
 
 

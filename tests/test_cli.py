@@ -465,9 +465,9 @@ def test_row_walk_check_survives_optimize_flag(tmp_path):
 def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, target):
     # an interrupt after a few blocks of CSV lines removes the rows file; a
     # path that is not a regular file itself, here a symlink, is left as it is
-    from ksetfix import limits
+    from ksetfix import table
 
-    checked = limits.limiting_survival_checked
+    write_rows = table.write_rows
 
     def interrupted(k, write):
         blocks = []
@@ -478,9 +478,9 @@ def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, tar
             if len(blocks) == 3:
                 raise KeyboardInterrupt
 
-        return checked(k, take)
+        return write_rows(k, take)
 
-    monkeypatch.setattr(limits, "limiting_survival_checked", interrupted)
+    monkeypatch.setattr(table, "write_rows", interrupted)
     path = tmp_path / "rows.csv"
     if target == "symlink":
         (tmp_path / "kept.csv").touch()
@@ -489,6 +489,26 @@ def test_interrupted_emit_rows_leaves_no_partial_file(tmp_path, monkeypatch, tar
         run_cli("limit", "--k", "12", "--emit-rows", str(path))
     assert path.is_symlink() == (target == "symlink")
     assert path.exists() == (target == "symlink")
+
+
+def test_no_command_walks_the_rows_unless_asked(monkeypatch, tmp_path):
+    # the counting programme alone serves every limiting command; only
+    # --emit-rows reaches the row walk
+    from ksetfix import table
+
+    commands = [["limit", "--k", "12"], ["limit-table", "--k-max", "12"],
+                ["ratio", "--k-max", "6"]]
+    usual = [run_cli(*args) for args in commands]
+
+    def walk(k, write):
+        raise RuntimeError("the rows were walked")
+
+    monkeypatch.setattr(table, "write_rows", walk)
+    for args, (code, out) in zip(commands, usual):
+        assert code == 0
+        assert run_cli(*args) == (0, out), args
+    with pytest.raises(RuntimeError, match="walked"):
+        run_cli("limit", "--k", "12", "--emit-rows", str(tmp_path / "rows.csv"))
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -15,11 +15,10 @@ from ksetfix.limits import (
     limiting_survival,
 )
 from ksetfix.precision import round_scaled
-from ksetfix.table import enumerate_rows
+from ksetfix.table import enumerate_rows, write_rows
 
 from reference_data import (
     DECAY_EXPONENT_10DP,
-    K4_ROW_VALUES_6DP,
     LIMIT_TABLE_8DP,
     RATIO_K2_10DP,
     RATIO_K4_10DP,
@@ -30,12 +29,15 @@ from reference_data import (
     emitted_rows,
     fraction_evaluate_scaled,
     k4_closed_form,
+    k4_closed_form_failures,
+    k4_row_value_failures,
     poly_one,
     poly_sub,
     row_contribution,
     row_factor,
     row_sum,
     row_weight,
+    run_cli,
 )
 
 E1, E2, E3, E4 = 1, 2, 4, 8  # bitmasks of e^{-1/1} .. e^{-1/4}
@@ -92,15 +94,12 @@ def test_row_contribution_rejects_wrong_length():
 
 
 def test_k4_all_row_values_six_places():
-    rows, _ = emitted_rows(4)
-    got = [evaluate(row_contribution(4, r), 6).value for r in rows]
-    assert got == K4_ROW_VALUES_6DP
+    assert k4_row_value_failures() == []
 
 
 def test_k4_survival_equals_closed_form():
-    closed = k4_closed_form()
-    assert limiting_survival(4) == closed
-    assert evaluate(closed, 6).value == "0.530442"
+    assert k4_closed_form_failures(limiting_survival(4)) == []
+    assert evaluate(k4_closed_form(), 6).value == "0.530442"
 
 
 @pytest.mark.parametrize("k", [
@@ -143,19 +142,25 @@ def test_dp_row_count_matches_walk(k, survival):
     assert survival.rows(k) == len(walked) == LIMIT_TABLE_8DP[k][1]
 
 
-def test_checked_survival_walks_and_rejects_a_wrong_count(monkeypatch, survival):
+def test_checked_survival_walks_and_rejects_a_wrong_count(
+    monkeypatch, survival, tmp_path
+):
+    # the engine's check, also ahead of the rows file of limit --emit-rows
     chunks = []
-    poly, stats = limits.limiting_survival_checked(7, chunks.append)
+    poly, stats = limits.limiting_survival_checked(7)
+    written = write_rows(7, chunks.append)
     rows = "".join(chunks).splitlines()
     assert poly == survival.poly(7)
-    assert stats == enumerate_rows(7, lambda text: None)
-    assert len(rows) == stats.rows_emitted == survival.rows(7)
+    assert stats == enumerate_rows(7)
+    assert len(rows) == written == stats.rows_emitted == survival.rows(7)
     assert limits.limiting_survival_checked(7) == (poly, stats)
     monkeypatch.setattr(
         limits, "limiting_survival_with_stats", lambda k: (poly, len(rows) + 1)
     )
+    path = tmp_path / "rows.csv"
     with pytest.raises(AssertionError, match="table counted"):
-        limits.limiting_survival_checked(7, lambda text: None)
+        run_cli("limit", "--k", "7", "--emit-rows", str(path))
+    assert not path.exists()
     with pytest.raises(AssertionError, match="table counted"):
         limits.limiting_survival_checked(7)
 

@@ -11,7 +11,7 @@ from ksetfix.table import (
     _divisor_masks,
     enumerate_rows,
     position_bound,
-    rows_count,
+    write_rows,
 )
 
 from reference_data import (
@@ -20,6 +20,7 @@ from reference_data import (
     divisibility_free,
     emitted_rows,
     prefix_walk,
+    run_cli,
     subpartition_sums,
 )
 
@@ -69,7 +70,7 @@ def test_k1_single_empty_row():
     rows, stats = emitted_rows(1)
     assert rows == [()]
     assert stats.rows_emitted == 1
-    assert rows_count(1) == 1
+    assert enumerate_rows(1).rows_emitted == 1
 
 
 def test_first_and_last_rows():
@@ -81,7 +82,7 @@ def test_first_and_last_rows():
 
 def test_rows_count_small_values():
     for k in range(1, 13):
-        assert rows_count(k) == LIMIT_TABLE_8DP[k][1], k
+        assert enumerate_rows(k).rows_emitted == LIMIT_TABLE_8DP[k][1], k
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -119,7 +120,7 @@ def test_counter_identity():
             assert s.partials_considered == (
                 s.pruned_universal + s.pruned_divisibility + s.full_tests
             )
-        assert len(walked_rows) == len(table_rows) == rows_count(k)
+        assert len(walked_rows) == len(table_rows) == counted.rows_emitted
 
 
 @pytest.mark.parametrize(
@@ -148,20 +149,24 @@ def test_rows_are_written_a_block_per_prefix():
     # one write per prefix of the positions j <= k/2 (3,148 at k = 20),
     # not one per row
     calls = []
-    stats = enumerate_rows(20, calls.append)
-    assert len(calls) * 10 < stats.rows_emitted
+    written = write_rows(20, calls.append)
+    assert written == enumerate_rows(20).rows_emitted
+    assert len(calls) * 10 < written
 
 
 @pytest.mark.parametrize("k", [1, 5, 12])
-def test_walk_that_disagrees_with_the_count_raises(monkeypatch, k):
-    # the rows come from a walk of their own, checked against the count
+def test_walk_that_disagrees_with_the_count_raises(monkeypatch, tmp_path, k):
+    # the rows come from a walk of their own, which limit --emit-rows checks
+    # against the count; the failed run leaves no rows file
     from itertools import islice
 
     from ksetfix import table
 
     monkeypatch.setattr(table, "product", lambda *free: islice(product(*free), 1, None))
+    path = tmp_path / "rows.csv"
     with pytest.raises(AssertionError, match="walk"):
-        enumerate_rows(k, lambda row: None)
+        run_cli("limit", "--k", str(k), "--emit-rows", str(path))
+    assert not path.exists()
 
 
 def test_descend_rejects_a_prefix_that_is_not_k_free():
@@ -191,6 +196,6 @@ def test_every_emitted_row_is_k_free():
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        enumerate_rows(0, lambda r: None)
+        write_rows(0, lambda r: None)
     with pytest.raises(ValueError):
         enumerate_rows(0)
