@@ -23,7 +23,7 @@ every n <= n_max; tables over several k run it per k.
 from __future__ import annotations
 
 from math import factorial
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 # not used here; the benchmark's tracer hooks these names on this module
 from .partitions import achievable_sizes_mask, universality_index  # noqa: F401
@@ -228,11 +228,12 @@ def finite_table(
     digits: int,
     *,
     survival: bool = False,
-) -> Iterator[tuple[int, int, str]]:
+) -> list[tuple[int, int, str]]:
     """Rows (n, k, value) for 2 <= n <= n_max, 1 <= k <= min(n//2, k_max).
 
     Values are fixing probabilities, or their complements with
-    ``survival=True``, rounded to ``digits`` places.
+    ``survival=True``, rounded to ``digits`` places. The rows come in
+    order of n, then k.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -241,8 +242,11 @@ def finite_table(
     if digits < 0:
         raise ValueError("digits must be >= 0")
     table = fixing_count_table(n_max, min(n_max // 2, k_max))
+    rows = []
     for n in range(2, n_max + 1):
         counts = table[n]
         for k in range(1, min(n // 2, k_max) + 1):
             num = counts[0] - counts[k] if survival else counts[k]
-            yield n, k, format_scaled(round_div(num * 10**digits, counts[0]), digits)
+            value = format_scaled(round_div(num * 10**digits, counts[0]), digits)
+            rows.append((n, k, value))
+    return rows

@@ -1,7 +1,9 @@
 """Frozen reference values and independent oracles used across the suite.
 
-The golden tables in tests/golden/*.csv and the constants here are
-regression targets; the oracle functions recompute quantities by routes
+The golden table tests/golden/finite_fix_5dp.csv and the constants
+here are regression targets, each stored once: the 5-place survival
+table is derived from the fixing one, and 5-place limiting values from
+``LIMIT_TABLE_8DP``. The oracle functions recompute quantities by routes
 deliberately different from the library's (direct enumeration, classical
 recurrences, orbit tests on bitsets over all permutations, and the
 finite engine's three former routes: one knapsack per partition, one
@@ -32,6 +34,7 @@ the path.
 from __future__ import annotations
 
 import csv
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -99,22 +102,21 @@ K4_ROW_VALUES_6DP = [
 
 
 def load_golden_finite(which: str) -> dict[tuple[int, int], str]:
-    """Golden 5-place finite tables keyed by (n, k); which is 'fix' or 'survival'."""
-    path = GOLDEN_DIR / f"finite_{which}_5dp.csv"
-    table = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            table[(int(row["n"]), int(row["k"]))] = row["value"]
-    return table
+    """Golden 5-place finite tables keyed by (n, k); which is 'fix' or 'survival'.
 
-
-def load_golden_limit_5dp() -> dict[int, str]:
-    """Golden 5-place limiting fix probabilities for k = 1..30."""
-    path = GOLDEN_DIR / "limit_fix_5dp.csv"
+    Only the fixing table is stored. Each survival value is its
+    complement 1 - x: both are rounded half to even at the even scale
+    10**5, so rounding 1 - x the same way gives 1 minus the rounded x.
+    """
+    if which not in ("fix", "survival"):
+        raise ValueError("which must be 'fix' or 'survival'")
     table = {}
-    with open(path, newline="") as fh:
+    with open(GOLDEN_DIR / "finite_fix_5dp.csv", newline="") as fh:
         for row in csv.DictReader(fh):
-            table[int(row["k"])] = row["value"]
+            value = row["value"]
+            if which == "survival":
+                value = str(1 - Decimal(value))
+            table[(int(row["n"]), int(row["k"]))] = value
     return table
 
 

@@ -148,7 +148,7 @@ def test_criterion_05_finite_tables_long_tier(shared_count_tables):
 
 def test_criterion_06_exceptional_pairs():
     failures = []
-    want = {(30, 9), (36, 11), (39, 12), (42, 13), (45, 14), (47, 15), (48, 15)}
+    want = {(n, k) for n, k in RISING_PAIRS_70 if n <= 48}
     got = exceptions(48)
     if got != want:
         failures.append((sorted(got), sorted(want)))

@@ -11,7 +11,7 @@ test_limits holds the limiting engine to the same ``row_sum(k)`` at
 x = 1.
 """
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -30,6 +30,7 @@ from ksetfix.limits import evaluate, limiting_survival
 
 from reference_data import (
     LIMIT_TABLE_8DP,
+    RISING_PAIRS_70,
     format_probability,
     load_golden_finite,
     mask_fixing_count_table,
@@ -178,10 +179,15 @@ def test_validation():
         fixing_count_table(0, 1)
     with pytest.raises(ValueError):
         fixing_count_table(5, 0)
-    # a negative digits is rejected by name; 0 gives whole numbers
+    # each argument is rejected by name at the call; 0 digits gives
+    # whole numbers
+    with pytest.raises(ValueError, match="n_max"):
+        finite_table(1, 2, 5)
+    with pytest.raises(ValueError, match="k_max"):
+        finite_table(4, 0, 5)
     with pytest.raises(ValueError, match="digits"):
-        list(finite_table(4, 2, -1))
-    assert list(finite_table(4, 2, 0)) == [
+        finite_table(4, 2, -1)
+    assert finite_table(4, 2, 0) == [
         (2, 1, "0"), (3, 1, "1"), (4, 1, "1"), (4, 2, "0")
     ]
 
@@ -213,7 +219,7 @@ def test_denominator_divides_factorial():
 
 def test_exceptions_lists():
     assert exceptions(29) == set()
-    assert exceptions(36) == {(30, 9), (36, 11)}
+    assert exceptions(36) == {(n, k) for n, k in RISING_PAIRS_70 if n <= 36}
 
 
 def test_golden_spot_cells():
@@ -227,7 +233,7 @@ def test_golden_spot_cells():
 
 
 def test_finite_table_rows_and_rounding():
-    rows = list(finite_table(5, 2, 5))
+    rows = finite_table(5, 2, 5)
     assert rows == [
         (2, 1, "0.50000"),
         (3, 1, "0.66667"),
@@ -236,7 +242,7 @@ def test_finite_table_rows_and_rounding():
         (5, 1, "0.63333"),
         (5, 2, "0.55000"),
     ]
-    assert list(finite_table(2, 1, 5)) == [(2, 1, "0.50000")]
+    assert finite_table(2, 1, 5) == [(2, 1, "0.50000")]
 
 
 def test_finite_table_survival_variant():
@@ -249,10 +255,12 @@ def test_finite_table_survival_variant():
 
 def test_columns_settle_to_limiting_values():
     # for k <= 6 the finite probabilities have converged to the limiting
-    # ones at 5 places by n = 40 and stay there through n = 45
-    from reference_data import load_golden_limit_5dp
-
-    limit_5dp = load_golden_limit_5dp()
+    # ones at 5 places by n = 40 and stay there through n = 45; no 8-place
+    # value ends in 500, so rounding it again to 5 places moves no digit
+    limit_5dp = {
+        k: str(Decimal(value).quantize(Decimal("1e-5"), ROUND_HALF_EVEN))
+        for k, (value, _) in LIMIT_TABLE_8DP.items()
+    }
     for n in range(40, 46):
         counts = fixing_counts(n, 6)
         for k in range(1, 7):

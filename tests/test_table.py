@@ -1,5 +1,6 @@
 """Row table enumeration: order, completeness, counters."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -143,6 +144,21 @@ def test_count_path_k30_counters():
     # while its reference row count is in question
     assert enumerate_rows(30) == TableStats(12022223, 19500808, 404452, 2925, 19093431)
     assert LIMIT_TABLE_8DP[30][1] == 12022223
+
+
+# enumerate_rows(k), one line per k = 1..30 of k and its counters, as
+# first computed; rows_emitted is left out at k = 29, whose reference row
+# count is in question
+COUNTERS_DIGEST = "728ac5a7dc8afe1a0466a4bf96423614ff3794c5e0838ad7ac232339c71aa93a"
+
+
+def test_counters_pinned_exactly():
+    digest = hashlib.sha256()
+    for k in range(1, 31):
+        stats = enumerate_rows(k)
+        fields = stats[1:] if k == 29 else stats
+        digest.update(f"{k} {' '.join(map(str, fields))}\n".encode())
+    assert digest.hexdigest() == COUNTERS_DIGEST
 
 
 def test_rows_are_written_a_block_per_prefix():
